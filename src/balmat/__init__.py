@@ -78,7 +78,6 @@ from balmat.spectral2 import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BalanceReport",
     "BalmatError",
     "CheckRecord",

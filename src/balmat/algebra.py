@@ -11,6 +11,7 @@ determinant of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from balmat import _kernels
 from balmat.core import DEFAULT_TOL, Matrix, TolerancePolicy
@@ -113,6 +114,13 @@ def inverse2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Matrix:
     return Matrix(2, 2, (e[3] * f, -e[1] * f, -e[2] * f, e[0] * f))
 
 
+def _rref(a: Matrix, pivot_tol: float):
+    """The rref kernel on `a`: (reduced entries, raw trail, rank)."""
+    if not pivot_tol > 0:
+        raise InvalidInputError(f"pivot_tol must be positive, got {pivot_tol}")
+    return _kernels.rref(a.entries, a.n_rows, a.n_cols, pivot_tol)
+
+
 def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
     """Reduce `a` to reduced row echelon form, recording every operation.
 
@@ -120,13 +128,32 @@ def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
     pivot with magnitude at or below `pivot_tol` is treated as zero, which
     is what decides the numerical rank.
     """
-    if not pivot_tol > 0:
-        raise InvalidInputError(f"pivot_tol must be positive, got {pivot_tol}")
-    reduced, raw_trail, rank = _kernels.rref(a.entries, a.n_rows, a.n_cols, pivot_tol)
+    reduced, raw_trail, rank = _rref(a, pivot_tol)
     trail = tuple(
         ElementaryOp(_KIND_BY_CODE[code], i, j, factor) for code, i, j, factor in raw_trail
     )
     return RrefResult(R=Matrix(a.n_rows, a.n_cols, tuple(reduced)), trail=trail, rank=rank)
+
+
+def _require_square(a: Matrix) -> None:
+    if not a.is_square:
+        raise DimensionError(f"determinant needs a square matrix, got {a.n_rows}x{a.n_cols}")
+
+
+def _det_from_trail(n: int, rank: int, det_factors: Iterable[float]) -> float:
+    """Determinant of an n x n matrix from its elimination trail.
+
+    A full-rank matrix reduces to the identity through elementary operations
+    E_1..E_k, so its determinant is the reciprocal of the product of their
+    det factors, multiplied in trail order. Rank-deficient input gives
+    exactly 0.0.
+    """
+    if rank < n:
+        return 0.0
+    prod = 1.0
+    for factor in det_factors:
+        prod *= factor
+    return 1.0 / prod
 
 
 def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
@@ -136,12 +163,13 @@ def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
     operations E_1..E_k, so det(a) is the reciprocal of the product of the
     det factors of the trail. Rank-deficient input returns exactly 0.0.
     """
-    if not a.is_square:
-        raise DimensionError(f"determinant needs a square matrix, got {a.n_rows}x{a.n_cols}")
-    result = rref_with_trail(a, pivot_tol)
-    if result.rank < a.n_rows:
-        return 0.0
-    prod = 1.0
-    for op in result.trail:
-        prod *= op.det_factor
-    return 1.0 / prod
+    _require_square(a)
+    _, raw_trail, rank = _rref(a, pivot_tol)
+    # An add_multiple step's det factor is exactly 1.0, so leaving it out
+    # of the product changes no bits.
+    factors = (
+        factor if code == _kernels.OP_SCALE else -1.0
+        for code, _, _, factor in raw_trail
+        if code != _kernels.OP_ADDMUL
+    )
+    return _det_from_trail(a.n_rows, rank, factors)

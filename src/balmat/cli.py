@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from balmat import _kernels
 from balmat.balance import BalanceReport, classify_balance
 from balmat.core import CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
-from balmat.algebra import rref_with_trail, det_via_trail
+from balmat.algebra import _det_from_trail, _require_square, rref_with_trail
 from balmat.discrepancy import (
     DiscrepancyReport,
     discrepancy_report,
@@ -293,8 +293,9 @@ def _cmd_discrepancy(config: CliConfig, a: Matrix) -> dict:
 
 
 def _cmd_det(config: CliConfig, a: Matrix) -> dict:
-    value = det_via_trail(a, config.pivot_tol)
+    _require_square(a)
     result = rref_with_trail(a, config.pivot_tol)
+    value = _det_from_trail(a.n_rows, result.rank, (op.det_factor for op in result.trail))
     return {"determinant": value, "rank": result.rank, "trail_length": len(result.trail)}
 
 

@@ -9,8 +9,10 @@ columns, and the interior search looks for balanced submatrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, itemgetter
 
 from balmat import _kernels
 from balmat.balance import BalanceReport, classify_balance
@@ -180,6 +182,86 @@ class InteriorMatch:
     report: BalanceReport
 
 
+def _partial_sums(
+    memo: dict[tuple[int, ...], list[float]], lines: list[list[float]], idx: tuple[int, ...]
+) -> list[float]:
+    """memo[idx]: elementwise sum of `lines[t]` for t in idx, added in order.
+
+    The sum over idx extends the memoized sum over idx[:-1] by one line, so
+    every index set costs one pass, and memo[()] seeds the 0.0 start.
+    """
+    got = memo.get(idx)
+    if got is None:
+        got = memo[idx] = list(map(add, _partial_sums(memo, lines, idx[:-1]), lines[idx[-1]]))
+    return got
+
+
+def _scan_interiors(
+    a: Matrix, tol: TolerancePolicy, min_dim: int, contiguous: bool
+) -> tuple[InteriorMatch | None, float]:
+    """One pass over the proper square interiors of `a`, in search order.
+
+    Returns the first fully balanced block (or None) and the lowest
+    max(horizontal, vertical) defect among the blocks visited up to it.
+    The entries are squared once. A block's square sums are added from
+    those squares in the kernels' order, from 0.0 and first index to last,
+    so its sums, defects and verdict equal `classify_balance` of the block
+    bit for bit. Only the match is built as a Matrix.
+    """
+    n = a.n_rows
+    sq = [e * e for e in a.entries]
+    sq_rows = [sq[i * n : (i + 1) * n] for i in range(n)]
+    sq_cols = [sq[j::n] for j in range(n)]
+    # by_cols[S][i]: square sum of row i over the columns S; by_rows[S][j]
+    # likewise for column j over the rows S.
+    by_cols: dict[tuple[int, ...], list[float]] = {(): [0.0] * n}
+    by_rows: dict[tuple[int, ...], list[float]] = {(): [0.0] * n}
+    # Looked up per call: instrumentation may rebind the kernel attributes.
+    spread_defect = _kernels.spread_defect
+    sums_all_close = _kernels.sums_all_close
+    rtol, atol = tol.rtol, tol.atol
+    best = math.inf
+    for dim in range(n - 1, min_dim - 1, -1):
+        if contiguous:
+            index_sets = [tuple(range(s, s + dim)) for s in range(n - dim + 1)]
+        else:
+            index_sets = [tuple(c) for c in combinations(range(n), dim)]
+        pickers = [itemgetter(*idx) for idx in index_sets]
+        row_parts = [_partial_sums(by_cols, sq_cols, idx) for idx in index_sets]
+        col_parts = [_partial_sums(by_rows, sq_rows, idx) for idx in index_sets]
+        for rows, pick_rows, col_part in zip(index_sets, pickers, col_parts):
+            for cols, pick_cols, row_part in zip(index_sets, pickers, row_parts):
+                rs = pick_rows(row_part)
+                cs = pick_cols(col_part)
+                h_defect = spread_defect(rs)
+                v_defect = spread_defect(cs)
+                defect = max(h_defect, v_defect)
+                if defect < best:
+                    best = defect
+                if not (sums_all_close(rs, rtol, atol) and sums_all_close(cs, rtol, atol)):
+                    continue
+                sub = _submatrix(a, rows, cols)
+                # Tiny entries can square to 0.0: test the entries themselves.
+                if sub.is_zero:
+                    continue
+                report = BalanceReport(rs, cs, h_defect, v_defect, True, True, True, False)
+                return InteriorMatch(rows=rows, cols=cols, matrix=sub, report=report), best
+    return None, best
+
+
+def _interior_search(
+    a: Matrix, tol: TolerancePolicy, min_dim: int, contiguous: bool = True
+) -> tuple[InteriorMatch | None, float]:
+    """`find_balanced_interior`'s checks and scan; also returns the best defect."""
+    if not a.is_square:
+        raise DimensionError(f"interior search needs a square matrix, got {a.n_rows}x{a.n_cols}")
+    n = a.n_rows
+    if not 2 <= min_dim < n:
+        raise InvalidInputError(f"min_dim must satisfy 2 <= min_dim < {n}, got {min_dim}")
+    _require_balanced(a, tol)
+    return _scan_interiors(a, tol, min_dim, contiguous)
+
+
 def find_balanced_interior(
     a: Matrix,
     tol: TolerancePolicy = DEFAULT_TOL,
@@ -197,21 +279,4 @@ def find_balanced_interior(
     such inputs are candidate counterexamples to the claim that every
     balanced matrix contains a balanced subsystem.
     """
-    if not a.is_square:
-        raise DimensionError(f"interior search needs a square matrix, got {a.n_rows}x{a.n_cols}")
-    n = a.n_rows
-    if not 2 <= min_dim < n:
-        raise InvalidInputError(f"min_dim must satisfy 2 <= min_dim < {n}, got {min_dim}")
-    _require_balanced(a, tol)
-    for dim in range(n - 1, min_dim - 1, -1):
-        if contiguous:
-            index_sets = [tuple(range(s, s + dim)) for s in range(n - dim + 1)]
-        else:
-            index_sets = [tuple(c) for c in combinations(range(n), dim)]
-        for rows in index_sets:
-            for cols in index_sets:
-                sub = _submatrix(a, rows, cols)
-                report = classify_balance(sub, tol)
-                if report.fully_balanced:
-                    return InteriorMatch(rows=rows, cols=cols, matrix=sub, report=report)
-    return None
+    return _interior_search(a, tol, min_dim, contiguous)[0]

@@ -31,10 +31,10 @@ from balmat.core import (
     matrix_from_rows,
 )
 from balmat.discrepancy import (
+    _interior_search,
     discrepancy_report,
     fairness_propagation_check,
     fairness_transfer_check,
-    find_balanced_interior,
     interior,
     one_fair_row_check,
 )
@@ -133,7 +133,8 @@ def _random_orthogonal(rng: random.Random, n: int) -> list[list[float]]:
     """Random orthogonal matrix: Householder QR of a Gaussian sample."""
     if n == 1:
         return [[1.0 if rng.random() < 0.5 else -1.0]]
-    a = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
+    gauss = rng.gauss
+    a = [[gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
     q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for k in range(n - 1):
         x = [a[i][k] for i in range(k, n)]
@@ -147,20 +148,24 @@ def _random_orthogonal(rng: random.Random, n: int) -> list[list[float]]:
         if vnorm2 == 0.0:
             continue
         beta = 2.0 / vnorm2
+        # Apply I - beta v v^T to rows k.. of a (from the left) and to
+        # columns k.. of q (from the right).
+        lower = list(zip(v, a[k:]))
         for j in range(k, n):
             w = 0.0
-            for t in range(len(v)):
-                w += v[t] * a[k + t][j]
+            for vt, row in lower:
+                w += vt * row[j]
             w *= beta
-            for t in range(len(v)):
-                a[k + t][j] -= w * v[t]
-        for i in range(n):
+            for vt, row in lower:
+                row[j] -= w * vt
+        right = list(zip(range(k, n), v))
+        for row in q:
             w = 0.0
-            for t in range(len(v)):
-                w += q[i][k + t] * v[t]
+            for col, vt in right:
+                w += row[col] * vt
             w *= beta
-            for t in range(len(v)):
-                q[i][k + t] -= w * v[t]
+            for col, vt in right:
+                row[col] -= w * vt
     # Fix reflection signs so the implicit R has a positive diagonal.
     for j in range(n):
         if a[j][j] < 0.0:
@@ -505,18 +510,10 @@ def _check_interior_conjecture(ms, ctx):
     a = ms[0]
     if not a.is_square or a.n_rows <= ctx.min_dim:
         return None
-    match = find_balanced_interior(a, ctx.tol, ctx.min_dim)
+    match, best = _interior_search(a, ctx.tol, ctx.min_dim)
     if match is not None:
         return CheckRecord("interior_conjecture", True, match.report.max_defect, 0.0, -1.0)
     # No balanced interior: report how close the best block came.
-    n = a.n_rows
-    best = math.inf
-    for dim in range(n - 1, ctx.min_dim - 1, -1):
-        for r in range(n - dim + 1):
-            for c in range(n - dim + 1):
-                d = _max_defect(interior(a, r, dim, c, dim))
-                if d < best:
-                    best = d
     return CheckRecord("interior_conjecture", False, best, 0.0, best)
 
 

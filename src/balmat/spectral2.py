@@ -183,14 +183,14 @@ def quadform_eval(a: Matrix, x: float, y: float) -> float:
 def quadform_branch_select(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Branch:
     """Which prediction branch a symmetric 2x2 belongs to.
 
-    "b_gt_a" when the off-diagonal exceeds the diagonal; ties under `tol`
-    resolve to "b_lt_a" (the two predicted forms coincide at a = b, so the
-    fixed rule only makes the operation deterministic).
+    "b_gt_a" exactly when the off-diagonal b exceeds the diagonal a, else
+    "b_lt_a". The two predicted forms coincide only at a = b exactly (the
+    smaller eigenvalue magnitude is then 0); for a < b the "b_lt_a" form is
+    off by (b - a)(x - y)^2, however close the two are, so the choice
+    takes no tolerance. `tol` is accepted for compatibility and unused.
     """
     _require_symmetric(a)
     ea, eb = a.entries[0], a.entries[1]
-    if approx_eq(ea, eb, tol):
-        return "b_lt_a"
     return "b_gt_a" if eb > ea else "b_lt_a"
 
 

@@ -2,14 +2,38 @@
 
 Everything here recomputes expected values by a different route than the
 library under test: cofactor expansion instead of the elimination trail,
-direct replay of row operations instead of the rref internals, and literal
-transcriptions of the defining conditions. Keep these free of balmat
-internals beyond the public data types.
+direct replay of row operations instead of the rref internals, literal
+transcriptions of the defining conditions, and the interior search as first
+written, block by block. Keep these free of balmat internals beyond the
+public API.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+from itertools import combinations
+
 from balmat.algebra import ElementaryOp
+from balmat.balance import balance_defect, classify_balance
+from balmat.core import Matrix
+from balmat.discrepancy import InteriorMatch, interior
+
+
+def canonical(obj):
+    """JSON-ready copy of `obj`: dataclasses as dicts, floats as hex strings.
+
+    Two values with equal canonical forms agree bit for bit.
+    """
+    if isinstance(obj, float):
+        return obj.hex()
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if dataclasses.is_dataclass(obj):
+        return {f.name: canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [canonical(v) for v in obj]
+    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def det_cofactor(rows: list[list[float]]) -> float:
@@ -115,3 +139,41 @@ def line_deviation_lists(rows):
         mean = sum(col) / n
         col_devs.append(max(abs(mean - v) for v in col))
     return row_devs, col_devs
+
+
+def interior_scan_reference(a: Matrix, tol, min_dim: int, contiguous: bool):
+    """(first balanced interior, lowest max defect) by building every block.
+
+    Each block, in search order (largest dim, then rows, then columns), is
+    built as a Matrix and classified by `classify_balance`. The defect is
+    the lowest max(horizontal, vertical) defect among the blocks visited up
+    to the match. With no match in contiguous mode it comes from a second
+    pass that builds every block again through `interior()`, as the
+    interior-conjecture check did.
+    """
+    n = a.n_rows
+    best = math.inf
+    for dim in range(n - 1, min_dim - 1, -1):
+        if contiguous:
+            index_sets = [tuple(range(s, s + dim)) for s in range(n - dim + 1)]
+        else:
+            index_sets = [tuple(c) for c in combinations(range(n), dim)]
+        for rows in index_sets:
+            for cols in index_sets:
+                sub = Matrix(dim, dim, tuple(a.entries[i * n + j] for i in rows for j in cols))
+                report = classify_balance(sub, tol)
+                if report.max_defect < best:
+                    best = report.max_defect
+                if report.fully_balanced:
+                    return InteriorMatch(rows, cols, sub, report), best
+    if not contiguous:
+        return None, best
+    best = math.inf
+    for dim in range(n - 1, min_dim - 1, -1):
+        for r in range(n - dim + 1):
+            for c in range(n - dim + 1):
+                block = interior(a, r, dim, c, dim)
+                d = max(balance_defect(block, "rows"), balance_defect(block, "columns"))
+                if d < best:
+                    best = d
+    return None, best

@@ -127,3 +127,12 @@ class TestCheckRecord:
     def test_consistency_enforced(self):
         with pytest.raises(InvalidInputError):
             CheckRecord("x", holds=True, lhs=1.0, rhs=0.0, slack=1.0)
+
+
+def test_star_import_resolves_every_public_name():
+    import balmat
+
+    namespace: dict = {}
+    exec("from balmat import *", namespace)
+    assert set(balmat.__all__) <= namespace.keys()
+    assert namespace["kernel_backend"] == balmat.kernel_backend

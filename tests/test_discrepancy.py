@@ -9,6 +9,7 @@ from balmat.algebra import transpose
 from balmat.balance import classify_balance
 from balmat.core import TolerancePolicy, constant_matrix, identity, matrix_from_rows
 from balmat.discrepancy import (
+    _scan_interiors,
     discrepancy_report,
     fairness_propagation_check,
     fairness_transfer_check,
@@ -17,6 +18,7 @@ from balmat.discrepancy import (
     one_fair_row_check,
 )
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError
+from balmat.genfuzz import GenSpec, generate, replay_counterexample
 
 import oracles
 
@@ -250,3 +252,82 @@ class TestFindBalancedInterior:
         match = find_balanced_interior(identity(4), min_dim=2)
         assert match is not None
         assert not match.matrix.is_zero
+
+
+def _scan_case(seed):
+    """A seeded square matrix, tolerance and min_dim for the interior scan.
+
+    Mixes exactly balanced families (whose blocks rarely balance), signed
+    Hadamard patterns (which have balanced blocks) and unbalanced random
+    entries with some repeated or zero values, at tight and loose tolerance.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    family = seed % 4
+    if family == 0:
+        m = generate(GenSpec(kind="scaled_orthogonal", n=n, seed=seed))
+    elif family == 1:
+        n = 4
+        m = generate(GenSpec(kind="hadamard_like", n=4, seed=seed))
+    else:
+        pool = [0.0, 1.0, -1.0, 2.5] + [rng.uniform(-3.0, 3.0) for _ in range(4)]
+        m = matrix_from_rows([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+    rtol = rng.choice((1e-6, 0.05, 0.5))
+    return m, TolerancePolicy(rtol=rtol, atol=1e-9), rng.randint(2, m.n_rows - 1)
+
+
+class TestScanInteriors:
+    """The single-pass scan against the block-by-block reference, bit for bit."""
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_reference(self, seed, contiguous):
+        m, tol, min_dim = _scan_case(seed)
+        got = _scan_interiors(m, tol, min_dim, contiguous)
+        want = oracles.interior_scan_reference(m, tol, min_dim, contiguous)
+        assert oracles.canonical(got) == oracles.canonical(want)
+
+    def test_reference_cases_include_matches_and_misses(self):
+        found = [
+            _scan_interiors(*_scan_case(seed), contiguous)[0] is not None
+            for seed in range(48)
+            for contiguous in (True, False)
+        ]
+        assert any(found) and not all(found)
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_tiny_entries_match_but_zero_blocks_do_not(self, contiguous):
+        # 1e-200 squares to 0.0, so the tiny block's square sums are all
+        # zero like the zero block's; only the entries tell them apart
+        t = 1e-200
+        m = matrix_from_rows([[0, 0, t, 5], [0, 0, t, 7], [1, 2, 3, 4], [9, 8, 6, 2]])
+        tol = TolerancePolicy()
+        got = _scan_interiors(m, tol, 2, contiguous)
+        want = oracles.interior_scan_reference(m, tol, 2, contiguous)
+        assert oracles.canonical(got) == oracles.canonical(want)
+        match, best = got
+        assert match is not None and match.rows == (0, 1)
+        assert match.cols == ((1, 2) if contiguous else (0, 2))
+        assert match.report.row_square_sums == (0.0, 0.0)
+        assert best == 0.0  # the zero block came first and has no defect
+
+
+class TestInteriorConjectureCheck:
+    def test_min_dim_below_two_is_invalid(self):
+        with pytest.raises(InvalidInputError):
+            replay_counterexample("interior_conjecture", (identity(4),), min_dim=1)
+
+    def test_unbalanced_input_fails_the_gate(self):
+        m = matrix_from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        with pytest.raises(HypothesisError):
+            replay_counterexample("interior_conjecture", (m,))
+
+    def test_too_small_is_not_applicable(self):
+        assert replay_counterexample("interior_conjecture", (identity(3),), min_dim=3) is None
+
+    def test_violation_reports_the_best_block(self):
+        m = generate(GenSpec(kind="scaled_orthogonal", n=5, seed=3))
+        rec = replay_counterexample("interior_conjecture", (m,))
+        _, want = oracles.interior_scan_reference(m, TolerancePolicy(), 2, True)
+        assert not rec.holds
+        assert rec.lhs == rec.slack == want

@@ -230,6 +230,19 @@ class TestBranchSelect:
     def test_tie_rule(self):
         assert quadform_branch_select(constant_matrix(2, 2, 1.0)) == "b_lt_a"
 
+    def test_near_tie_follows_the_sign_of_b_minus_a(self):
+        # b exceeds a by 6.5e-7 relative, inside the default rtol of 1e-6;
+        # the "b_lt_a" form would miss the grid by about 5.6e-4
+        a, b = 53.857922670949975, 53.85795794916812
+        m = sym2(a, b)
+        branch = quadform_branch_select(m)
+        assert branch == "b_gt_a"
+        s = exact_spectrum2(m)
+        grid = [(float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3)]
+        for x, y in grid:
+            f = quadform_eval(m, x, y)
+            assert abs(quadform_predict(s, branch, x, y) - f) <= 1e-9 * max(1.0, abs(f))
+
     def test_asymmetric_rejected(self):
         with pytest.raises(SymmetryError):
             quadform_branch_select(matrix_from_rows([[1, 2], [3, 4]]))
