@@ -10,8 +10,8 @@ determinant of the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from balmat import _kernels
 from balmat.core import DEFAULT_TOL, Matrix, TolerancePolicy
@@ -135,25 +135,34 @@ def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
     return RrefResult(R=Matrix(a.n_rows, a.n_cols, tuple(reduced)), trail=trail, rank=rank)
 
 
-def _require_square(a: Matrix) -> None:
+def _det_rank_steps(a: Matrix, pivot_tol: float) -> tuple[float, int, int]:
+    """Determinant, rank and trail length of square `a`, from one elimination.
+
+    A full-rank n x n matrix reduces to the identity through elementary
+    operations E_1..E_k, so its determinant is the reciprocal of the product
+    of their det factors, multiplied in trail order: the factor of a scale
+    step, -1.0 for a swap. An add-multiple step's factor is exactly 1.0, so
+    leaving it out changes no bits. Rank-deficient input gives exactly 0.0.
+
+    Elimination that overflows is rejected as `rref_with_trail` rejects it:
+    a zero scale factor or a non-finite reduced entry raises
+    InvalidInputError.
+    """
     if not a.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {a.n_rows}x{a.n_cols}")
-
-
-def _det_from_trail(n: int, rank: int, det_factors: Iterable[float]) -> float:
-    """Determinant of an n x n matrix from its elimination trail.
-
-    A full-rank matrix reduces to the identity through elementary operations
-    E_1..E_k, so its determinant is the reciprocal of the product of their
-    det factors, multiplied in trail order. Rank-deficient input gives
-    exactly 0.0.
-    """
-    if rank < n:
-        return 0.0
+    reduced, raw_trail, rank = _rref(a, pivot_tol)
     prod = 1.0
-    for factor in det_factors:
-        prod *= factor
-    return 1.0 / prod
+    for code, _, _, factor in raw_trail:
+        if code == _kernels.OP_SCALE:
+            if factor == 0.0:
+                raise InvalidInputError("scale_row factor must be nonzero")
+            prod *= factor
+        elif code == _kernels.OP_SWAP:
+            prod *= -1.0
+    if not all(map(math.isfinite, reduced)):
+        raise InvalidInputError("elimination overflowed: the reduced form has a non-finite entry")
+    det = 1.0 / prod if rank == a.n_rows else 0.0
+    return det, rank, len(raw_trail)
 
 
 def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
@@ -163,13 +172,4 @@ def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
     operations E_1..E_k, so det(a) is the reciprocal of the product of the
     det factors of the trail. Rank-deficient input returns exactly 0.0.
     """
-    _require_square(a)
-    _, raw_trail, rank = _rref(a, pivot_tol)
-    # An add_multiple step's det factor is exactly 1.0, so leaving it out
-    # of the product changes no bits.
-    factors = (
-        factor if code == _kernels.OP_SCALE else -1.0
-        for code, _, _, factor in raw_trail
-        if code != _kernels.OP_ADDMUL
-    )
-    return _det_from_trail(a.n_rows, rank, factors)
+    return _det_rank_steps(a, pivot_tol)[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from balmat import _kernels
 from balmat.balance import BalanceReport, classify_balance
 from balmat.core import CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
-from balmat.algebra import _det_from_trail, _require_square, rref_with_trail
+from balmat.algebra import _det_rank_steps
 from balmat.discrepancy import (
     DiscrepancyReport,
     discrepancy_report,
@@ -246,8 +246,7 @@ _GRID = [(float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3)]
 
 
 def _cmd_quadform(config: CliConfig, a: Matrix) -> dict:
-    tol = config.tolerance()
-    branch = quadform_branch_select(a, tol)
+    branch = quadform_branch_select(a)
     s = exact_spectrum2(a)
     if branch == "b_gt_a":
         coeff_sum_sq = 0.5 * (s.max_abs - s.min_abs)
@@ -293,10 +292,8 @@ def _cmd_discrepancy(config: CliConfig, a: Matrix) -> dict:
 
 
 def _cmd_det(config: CliConfig, a: Matrix) -> dict:
-    _require_square(a)
-    result = rref_with_trail(a, config.pivot_tol)
-    value = _det_from_trail(a.n_rows, result.rank, (op.det_factor for op in result.trail))
-    return {"determinant": value, "rank": result.rank, "trail_length": len(result.trail)}
+    value, rank, steps = _det_rank_steps(a, config.pivot_tol)
+    return {"determinant": value, "rank": rank, "trail_length": steps}
 
 
 def _cmd_interior(config: CliConfig, a: Matrix) -> dict:

@@ -455,7 +455,7 @@ def _check_quadform_predict(ms, ctx):
         return None
     est = spectral2.estimate_spectrum2(a, ctx.tol)
     s = spectral2.exact_spectrum2(a)
-    branch = spectral2.quadform_branch_select(a, ctx.tol)
+    branch = spectral2.quadform_branch_select(a)
     diag_gap = abs(a.entries[0] - a.entries[3])
     worst = None
     for x, y in _QUAD_GRID:

@@ -180,14 +180,14 @@ def quadform_eval(a: Matrix, x: float, y: float) -> float:
     return ea * x * x + 2.0 * eb * x * y + ed * y * y
 
 
-def quadform_branch_select(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Branch:
+def quadform_branch_select(a: Matrix) -> Branch:
     """Which prediction branch a symmetric 2x2 belongs to.
 
     "b_gt_a" exactly when the off-diagonal b exceeds the diagonal a, else
     "b_lt_a". The two predicted forms coincide only at a = b exactly (the
     smaller eigenvalue magnitude is then 0); for a < b the "b_lt_a" form is
     off by (b - a)(x - y)^2, however close the two are, so the choice
-    takes no tolerance. `tol` is accepted for compatibility and unused.
+    takes no tolerance.
     """
     _require_symmetric(a)
     ea, eb = a.entries[0], a.entries[1]

@@ -18,7 +18,7 @@ from balmat.algebra import (
 )
 from balmat.balance import balance_defect
 from balmat.core import Matrix, constant_matrix, identity, matrix_from_rows
-from balmat.errors import DimensionError, SingularMatrixError
+from balmat.errors import DimensionError, InvalidInputError, SingularMatrixError
 
 import oracles
 
@@ -204,6 +204,24 @@ class TestDetViaTrail:
     def test_swap_sign(self):
         m = matrix_from_rows([[0, 1], [1, 0]])
         assert det_via_trail(m) == pytest.approx(-1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Scaling the 1e-5 pivot row by 1e5 overflows 1e305 to inf, and
+            # clearing that column leaves nan in the reduced form.
+            [[1e-5, 1e305], [0, 1]],
+            # Elimination makes the second pivot -inf; its scale factor is
+            # -0.0 while the reduced form stays finite.
+            [[1, 1e308], [1, -1e308]],
+        ],
+    )
+    def test_overflowing_elimination_raises(self, rows):
+        m = matrix_from_rows(rows)
+        with pytest.raises(InvalidInputError):
+            rref_with_trail(m)
+        with pytest.raises(InvalidInputError):
+            det_via_trail(m)
 
     def test_matches_cofactor_oracle_on_seeded_matrices(self):
         rng = random.Random(20240817)

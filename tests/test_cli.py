@@ -171,6 +171,14 @@ class TestCommands:
         assert result["determinant"] == 0
         assert result["rank"] == 1
 
+    def test_det_overflowing_elimination_exit_1(self, tmp_path):
+        p = tmp_path / "overflow.csv"
+        p.write_text("1e-5,1e305\n0,1\n")
+        code, out, err = run_cli(["det", str(p)])
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
     def test_interior(self, tmp_path):
         p = tmp_path / "id3.csv"
         p.write_text("1,0,0\n0,1,0\n0,0,1\n")
