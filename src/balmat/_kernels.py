@@ -1,12 +1,9 @@
-"""Pure-Python kernels: the fallback backend and the reference semantics.
-
-The compiled backend (`_ckernels.pyx`) implements exactly the same
-operations with the same arithmetic order; the two must stay bit-for-bit
-interchangeable. All functions work on a flat row-major list of floats plus
-explicit dimensions so that both backends share one calling convention.
-"""
+"""Numeric kernels on flat row-major lists of floats with explicit dimensions."""
 
 import math
+
+#: The kernel implementation in use; reported by `balmat --backend-info`.
+BACKEND = "python"
 
 # Elementary row-operation codes used in rref trails.
 OP_SWAP = 0

@@ -13,7 +13,7 @@ from typing import Literal
 
 from balmat import _kernels
 from balmat.core import DEFAULT_TOL, Matrix, TolerancePolicy
-from balmat.errors import InvalidInputError
+from balmat.errors import HypothesisError, InvalidInputError
 
 Axis = Literal["rows", "columns"]
 
@@ -86,3 +86,21 @@ def classify_balance(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> BalanceRe
         fully_balanced=full,
         is_zero=a.is_zero,
     )
+
+
+def require_balanced(a: Matrix, tol: TolerancePolicy, label: str = "input") -> BalanceReport:
+    """Balance report of `a`; raises HypothesisError unless fully balanced."""
+    report = classify_balance(a, tol)
+    if not report.fully_balanced:
+        raise HypothesisError(
+            "not-balanced",
+            f"{label} has defects (h={report.horizontal_defect:.3g}, v={report.vertical_defect:.3g})",
+        )
+    return report
+
+
+def require_positive(a: Matrix) -> None:
+    """Raise HypothesisError unless every entry of `a` is positive."""
+    low = min(a.entries)
+    if low <= 0.0:
+        raise HypothesisError("not-positive", f"input has minimum entry {low}")

@@ -26,8 +26,9 @@ from balmat.discrepancy import (
     one_fair_row_check,
 )
 from balmat.errors import BalmatError, HypothesisError, ParseError
-from balmat.genfuzz import GenSpec, FuzzReport, fuzz_campaign
+from balmat.genfuzz import GENERATOR_KINDS, GenSpec, FuzzReport, fuzz_campaign
 from balmat.spectral2 import (
+    QUADFORM_GRID,
     estimate_spectrum2,
     exact_spectrum2,
     quadform_branch_select,
@@ -242,9 +243,6 @@ def _cmd_spectrum(config: CliConfig, a: Matrix) -> dict:
     }
 
 
-_GRID = [(float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3)]
-
-
 def _cmd_quadform(config: CliConfig, a: Matrix) -> dict:
     branch = quadform_branch_select(a)
     s = exact_spectrum2(a)
@@ -255,7 +253,7 @@ def _cmd_quadform(config: CliConfig, a: Matrix) -> dict:
         coeff_sum_sq = 0.5 * (s.max_abs + s.min_abs)
         coeff_xy = -2.0 * s.min_abs
     worst = 0.0
-    for x, y in _GRID:
+    for x, y in QUADFORM_GRID:
         err = abs(quadform_predict(s, branch, x, y) - quadform_eval(a, x, y))
         if err > worst:
             worst = err
@@ -451,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend-info",
         action="store_true",
-        help="print which kernel backend is active and exit",
+        help="print the kernel backend (always python) and exit",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -490,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--kind",
         required=True,
-        choices=("constant", "symmetric2", "hadamard_like", "scaled_orthogonal", "perturbed"),
+        choices=GENERATOR_KINDS,
         help="generator family",
     )
     fuzz.add_argument("--n", type=int, default=2, help="matrix dimension (default 2)")

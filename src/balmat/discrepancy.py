@@ -15,9 +15,9 @@ from itertools import combinations
 from operator import add, itemgetter
 
 from balmat import _kernels
-from balmat.balance import BalanceReport, classify_balance
+from balmat.balance import BalanceReport, require_balanced, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy
-from balmat.errors import DimensionError, HypothesisError, InvalidInputError
+from balmat.errors import DimensionError, InvalidInputError
 
 #: Tolerance widening applied when a fairness verdict is transported to the
 #: other axis: the argument passes through two approximations (line means
@@ -63,21 +63,6 @@ def discrepancy_report(a: Matrix, fair_eps: float) -> DiscrepancyReport:
     )
 
 
-def _require_positive(a: Matrix) -> None:
-    if any(e <= 0.0 for e in a.entries):
-        raise HypothesisError("not-positive", f"minimum entry is {min(a.entries)}")
-
-
-def _require_balanced(a: Matrix, tol: TolerancePolicy, label: str = "input") -> BalanceReport:
-    report = classify_balance(a, tol)
-    if not report.fully_balanced:
-        raise HypothesisError(
-            "not-balanced",
-            f"{label} has defects (h={report.horizontal_defect:.3g}, v={report.vertical_defect:.3g})",
-        )
-    return report
-
-
 def fairness_transfer_check(
     a: Matrix, tol: TolerancePolicy = DEFAULT_TOL, fair_eps: float = 0.1
 ) -> CheckRecord:
@@ -86,8 +71,8 @@ def fairness_transfer_check(
     Requires a positive, fully balanced matrix. The record's lhs/rhs carry
     the worst row and column deviations for diagnosis.
     """
-    _require_positive(a)
-    _require_balanced(a, tol)
+    require_positive(a)
+    require_balanced(a, tol)
     rep = discrepancy_report(a, fair_eps)
     cols_fair_slack = rep.max_col_deviation < TRANSFER_FACTOR * fair_eps
     holds = rep.fair_rows == cols_fair_slack
@@ -114,8 +99,8 @@ def one_fair_row_check(
     """
     if not unfair_theta > fair_eps:
         raise InvalidInputError(f"unfair_theta ({unfair_theta}) must exceed fair_eps ({fair_eps})")
-    _require_positive(a)
-    _require_balanced(a, tol)
+    require_positive(a)
+    require_balanced(a, tol)
     rep = discrepancy_report(a, fair_eps)
     if len(rep.fair_row_indices) != 1:
         return None
@@ -136,7 +121,7 @@ def fairness_propagation_check(
     Conjecture-grade: the result is evidence, never an invariant. Holds
     vacuously when no row is fair at eps.
     """
-    _require_balanced(a, tol)
+    require_balanced(a, tol)
     rep = discrepancy_report(a, fair_eps)
     budget = TRANSFER_FACTOR * fair_eps
     if not rep.fair_row_indices:
@@ -258,7 +243,7 @@ def _interior_search(
     n = a.n_rows
     if not 2 <= min_dim < n:
         raise InvalidInputError(f"min_dim must satisfy 2 <= min_dim < {n}, got {min_dim}")
-    _require_balanced(a, tol)
+    require_balanced(a, tol)
     return _scan_interiors(a, tol, min_dim, contiguous)
 
 

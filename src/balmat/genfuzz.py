@@ -97,6 +97,14 @@ def _mix(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
+def _sum_squares(xs) -> float:
+    """Left-to-right sum of squares; builtin sum() rounds floats differently since 3.12."""
+    s = 0.0
+    for v in xs:
+        s += v * v
+    return s
+
+
 def _build_constant(rng: random.Random, spec: GenSpec) -> list[list[float]]:
     lam = rng.uniform(spec.entry_low, spec.entry_high)
     return [[lam] * spec.n for _ in range(spec.n)]
@@ -138,13 +146,13 @@ def _random_orthogonal(rng: random.Random, n: int) -> list[list[float]]:
     q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for k in range(n - 1):
         x = [a[i][k] for i in range(k, n)]
-        norm = math.sqrt(sum(v * v for v in x))
+        norm = math.sqrt(_sum_squares(x))
         if norm == 0.0:
             continue
         alpha = -norm if x[0] >= 0.0 else norm
         v = list(x)
         v[0] -= alpha
-        vnorm2 = sum(t * t for t in v)
+        vnorm2 = _sum_squares(v)
         if vnorm2 == 0.0:
             continue
         beta = 2.0 / vnorm2
@@ -444,9 +452,6 @@ def _make_symmetric2_inputs(rng, spec, ctx):
     return (matrix_from_rows([[a, b], [b, a]]),)
 
 
-_QUAD_GRID = [(float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3)]
-
-
 def _check_quadform_predict(ms, ctx):
     a = ms[0]
     if not _is_2x2(a):
@@ -458,7 +463,7 @@ def _check_quadform_predict(ms, ctx):
     branch = spectral2.quadform_branch_select(a)
     diag_gap = abs(a.entries[0] - a.entries[3])
     worst = None
-    for x, y in _QUAD_GRID:
+    for x, y in spectral2.QUADFORM_GRID:
         f = spectral2.quadform_eval(a, x, y)
         p = spectral2.quadform_predict(s, branch, x, y)
         err = abs(p - f)
@@ -491,7 +496,7 @@ def _make_one_fair_row_inputs(rng, spec, ctx):
     high = max(spec.entry_high, 2.0 * low)
     m_val = rng.uniform(low, high)
     w = [m_val + eta, m_val - eta] + [m_val] * (n - 2)
-    c = math.sqrt(sum(v * v for v in w) / n)
+    c = math.sqrt(_sum_squares(w) / n)
     rows = [[c] * n]
     for i in range(1, n):
         rows.append([w[(j + i) % n] for j in range(n)])

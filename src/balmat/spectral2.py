@@ -15,7 +15,7 @@ from typing import Literal
 
 from balmat import _kernels
 from balmat.algebra import add, det2
-from balmat.balance import BalanceReport, classify_balance
+from balmat.balance import require_balanced, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, approx_eq
 from balmat.discrepancy import discrepancy_report
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError, SymmetryError
@@ -65,26 +65,10 @@ def _require_2x2(a: Matrix) -> None:
         raise DimensionError(f"operation defined for 2x2 matrices, got {a.n_rows}x{a.n_cols}")
 
 
-def _require_balanced(a: Matrix, tol: TolerancePolicy, label: str = "input") -> BalanceReport:
-    report = classify_balance(a, tol)
-    if not report.fully_balanced:
-        raise HypothesisError(
-            "not-balanced",
-            f"{label} has defects (h={report.horizontal_defect:.3g}, v={report.vertical_defect:.3g})",
-        )
-    return report
-
-
 def _require_entries_at_least_one(a: Matrix, label: str = "input") -> None:
     low = min(a.entries)
     if low < 1.0:
         raise HypothesisError("entries-below-1", f"{label} has minimum entry {low}")
-
-
-def _require_positive(a: Matrix, label: str = "input") -> None:
-    low = min(a.entries)
-    if low <= 0.0:
-        raise HypothesisError("not-positive", f"{label} has minimum entry {low}")
 
 
 def exact_spectrum2(a: Matrix) -> Spectrum2:
@@ -114,7 +98,7 @@ def estimate_spectrum2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Spectru
     four readings disagreed.
     """
     _require_2x2(a)
-    _require_balanced(a, tol)
+    require_balanced(a, tol)
     _require_entries_at_least_one(a)
     ea, eb, ec, ed = a.entries
     sums = (ea + eb, ec + ed, ea + ec, eb + ed)
@@ -137,8 +121,8 @@ def trace_entry_check(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> CheckRec
     (atol + rtol * max_square_sum) / tr for positive entries.
     """
     _require_2x2(a)
-    _require_positive(a)
-    report = _require_balanced(a, tol)
+    require_positive(a)
+    report = require_balanced(a, tol)
     ea, _, _, ed = a.entries
     tr = ea + ed
     lhs = abs(tr - 2.0 * ea)
@@ -194,6 +178,10 @@ def quadform_branch_select(a: Matrix) -> Branch:
     return "b_gt_a" if eb > ea else "b_lt_a"
 
 
+#: The (x, y) points at which predicted and evaluated quadratic forms are compared.
+QUADFORM_GRID = tuple((float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3))
+
+
 def quadform_predict(s: Spectrum2, branch: Branch, x: float, y: float) -> float:
     """Quadratic form predicted from the spectrum alone.
 
@@ -231,8 +219,8 @@ def det_homomorphism_check(
     _require_2x2(b)
     _require_entries_at_least_one(a, "A")
     _require_entries_at_least_one(b, "B")
-    _require_balanced(a, tol, "A")
-    _require_balanced(b, tol, "B")
+    require_balanced(a, tol, "A")
+    require_balanced(b, tol, "B")
     spec_a = exact_spectrum2(a)
     if not approx_eq(spec_a.min_abs, 0.0, tol):
         raise HypothesisError("min-eig-not-small", f"min |eigenvalue| of A is {spec_a.min_abs}")

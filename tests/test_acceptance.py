@@ -307,7 +307,7 @@ def test_criterion_8_cli_contract(tmp_path):
     (tmp_path / "matrix.csv").write_text("2,1\n1,2\n")
     # The child runs in tmp_path, where a relative PYTHONPATH no longer
     # resolves: put the import root of the balmat under test first, so it
-    # runs the same package (and inherits BALMAT_PURE_PYTHON) installed or not.
+    # runs the same package installed or not.
     env = os.environ.copy()
     root = str(Path(balmat.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
