@@ -14,11 +14,9 @@ OP_ADDMUL = 2
 def row_square_sums(entries, n, m):
     """Per-row sums of squared entries."""
     out = []
-    for i in range(n):
-        base = i * m
+    for base in range(0, n * m, m):
         s = 0.0
-        for j in range(m):
-            e = entries[base + j]
+        for e in entries[base : base + m]:
             s += e * e
         out.append(s)
     return out
@@ -29,8 +27,7 @@ def col_square_sums(entries, n, m):
     out = []
     for j in range(m):
         s = 0.0
-        for i in range(n):
-            e = entries[i * m + j]
+        for e in entries[j::m]:
             s += e * e
         out.append(s)
     return out
@@ -39,6 +36,24 @@ def col_square_sums(entries, n, m):
 def sums_all_close(sums, rtol, atol):
     """Whether every pair of values agrees within atol + rtol*max(|x|,|y|)."""
     k = len(sums)
+    if k < 2:
+        return True
+    # Screen for non-negative sums and tolerances (NaN never compares, so
+    # it is skipped): no pair is further apart than max - min, and every
+    # pair's allowance lies between those at min and at max. Rounding is
+    # monotone, so both answers below agree with the pairwise loop.
+    lo = hi = sums[0]
+    for v in sums:
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+    if lo >= 0.0 and rtol >= 0.0 and atol >= 0.0:
+        span = hi - lo
+        if span <= atol + rtol * lo:
+            return True
+        if span > atol + rtol * hi:
+            return False
     for r in range(k):
         sr = sums[r]
         for s in range(r + 1, k):
@@ -153,41 +168,29 @@ def line_stats(entries, n, m):
     Returns (row_sums, col_sums, row_means, col_means, row_devs, col_devs)
     where row_devs[i] = max_j |row_means[i] - a_ij| and col_devs likewise.
     """
-    row_sums = []
-    row_means = []
-    row_devs = []
-    for i in range(n):
-        base = i * m
-        s = 0.0
-        for j in range(m):
-            s += entries[base + j]
-        mean = s / m
-        dev = 0.0
-        for j in range(m):
-            d = mean - entries[base + j]
-            if d < 0.0:
-                d = -d
-            if d > dev:
-                dev = d
-        row_sums.append(s)
-        row_means.append(mean)
-        row_devs.append(dev)
-    col_sums = []
-    col_means = []
-    col_devs = []
-    for j in range(m):
-        s = 0.0
-        for i in range(n):
-            s += entries[i * m + j]
-        mean = s / n
-        dev = 0.0
-        for i in range(n):
-            d = mean - entries[i * m + j]
-            if d < 0.0:
-                d = -d
-            if d > dev:
-                dev = d
-        col_sums.append(s)
-        col_means.append(mean)
-        col_devs.append(dev)
+    row_sums, row_means, row_devs = _line_stats([entries[b : b + m] for b in range(0, n * m, m)])
+    col_sums, col_means, col_devs = _line_stats([entries[j::m] for j in range(m)])
     return row_sums, col_sums, row_means, col_means, row_devs, col_devs
+
+
+def _line_stats(lines):
+    """Per-line entry sums, means and worst deviations from the mean."""
+    sums = []
+    means = []
+    devs = []
+    for line in lines:
+        s = 0.0
+        for e in line:
+            s += e
+        mean = s / len(line)
+        dev = 0.0
+        for e in line:
+            d = mean - e
+            if d < 0.0:
+                d = -d
+            if d > dev:
+                dev = d
+        sums.append(s)
+        means.append(mean)
+        devs.append(dev)
+    return sums, means, devs

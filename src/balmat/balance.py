@@ -70,7 +70,8 @@ def classify_balance(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> BalanceRe
     cs = _kernels.col_square_sums(a.entries, a.n_rows, a.n_cols)
     h_defect = _kernels.spread_defect(rs)
     v_defect = _kernels.spread_defect(cs)
-    if a.is_zero:
+    is_zero = a.is_zero
+    if is_zero:
         h_bal = v_bal = full = False
     else:
         h_bal = _kernels.sums_all_close(rs, tol.rtol, tol.atol)
@@ -84,7 +85,7 @@ def classify_balance(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> BalanceRe
         horizontally_balanced=h_bal,
         vertically_balanced=v_bal,
         fully_balanced=full,
-        is_zero=a.is_zero,
+        is_zero=is_zero,
     )
 
 

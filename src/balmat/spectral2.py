@@ -101,15 +101,15 @@ def estimate_spectrum2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Spectru
     require_balanced(a, tol)
     _require_entries_at_least_one(a)
     ea, eb, ec, ed = a.entries
-    sums = (ea + eb, ec + ed, ea + ec, eb + ed)
-    diffs = (abs(ea - eb), abs(ec - ed), abs(ea - ec), abs(eb - ed))
-    max_estimate = _mean4(*sums)
-    min_estimate = _mean4(*diffs)
+    s0, s1, s2, s3 = ea + eb, ec + ed, ea + ec, eb + ed
+    d0, d1, d2, d3 = abs(ea - eb), abs(ec - ed), abs(ea - ec), abs(eb - ed)
+    hi = _mean4(s0, s1, s2, s3)
+    lo = _mean4(d0, d1, d2, d3)
     spread = max(
-        max(abs(v - max_estimate) for v in sums),
-        max(abs(v - min_estimate) for v in diffs),
+        max(abs(s0 - hi), abs(s1 - hi), abs(s2 - hi), abs(s3 - hi)),
+        max(abs(d0 - lo), abs(d1 - lo), abs(d2 - lo), abs(d3 - lo)),
     )
-    return SpectrumEstimate(max_estimate=max_estimate, min_estimate=min_estimate, spread=spread)
+    return SpectrumEstimate(max_estimate=hi, min_estimate=lo, spread=spread)
 
 
 def trace_entry_check(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> CheckRecord:

@@ -177,3 +177,97 @@ def interior_scan_reference(a: Matrix, tol, min_dim: int, contiguous: bool):
                 if d < best:
                     best = d
     return None, best
+
+
+# The balance kernels as they were before they looped over slices, kept
+# verbatim: index arithmetic and the pairwise comparison with no screen.
+# The kernels in `balmat._kernels` must agree with these bit for bit.
+
+
+def row_square_sums(entries, n, m):
+    """Per-row sums of squared entries."""
+    out = []
+    for i in range(n):
+        base = i * m
+        s = 0.0
+        for j in range(m):
+            e = entries[base + j]
+            s += e * e
+        out.append(s)
+    return out
+
+
+def col_square_sums(entries, n, m):
+    """Per-column sums of squared entries."""
+    out = []
+    for j in range(m):
+        s = 0.0
+        for i in range(n):
+            e = entries[i * m + j]
+            s += e * e
+        out.append(s)
+    return out
+
+
+def sums_all_close(sums, rtol, atol):
+    """Whether every pair of values agrees within atol + rtol*max(|x|,|y|)."""
+    k = len(sums)
+    for r in range(k):
+        sr = sums[r]
+        for s in range(r + 1, k):
+            ss = sums[s]
+            ar = sr if sr >= 0.0 else -sr
+            as_ = ss if ss >= 0.0 else -ss
+            hi = ar if ar >= as_ else as_
+            diff = sr - ss
+            if diff < 0.0:
+                diff = -diff
+            if diff > atol + rtol * hi:
+                return False
+    return True
+
+
+def line_stats(entries, n, m):
+    """Row/column entry sums, means, and per-line worst deviation from the mean.
+
+    Returns (row_sums, col_sums, row_means, col_means, row_devs, col_devs)
+    where row_devs[i] = max_j |row_means[i] - a_ij| and col_devs likewise.
+    """
+    row_sums = []
+    row_means = []
+    row_devs = []
+    for i in range(n):
+        base = i * m
+        s = 0.0
+        for j in range(m):
+            s += entries[base + j]
+        mean = s / m
+        dev = 0.0
+        for j in range(m):
+            d = mean - entries[base + j]
+            if d < 0.0:
+                d = -d
+            if d > dev:
+                dev = d
+        row_sums.append(s)
+        row_means.append(mean)
+        row_devs.append(dev)
+    col_sums = []
+    col_means = []
+    col_devs = []
+    for j in range(m):
+        s = 0.0
+        for i in range(n):
+            s += entries[i * m + j]
+        mean = s / n
+        dev = 0.0
+        for i in range(n):
+            d = mean - entries[i * m + j]
+            if d < 0.0:
+                d = -d
+            if d > dev:
+                dev = d
+        col_sums.append(s)
+        col_means.append(mean)
+        col_devs.append(dev)
+    return row_sums, col_sums, row_means, col_means, row_devs, col_devs

@@ -1,13 +1,19 @@
+import dataclasses
+import random
+
 import pytest
 
+from balmat import spectral2
 from balmat.balance import balance_defect, classify_balance
-from balmat.core import TolerancePolicy, matrix_from_rows
+from balmat.core import CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
 from balmat.errors import ConfigurationError, UnsupportedDimensionError
 from balmat.genfuzz import (
     DEFECT_FLOOR,
     PROPERTIES,
     FuzzReport,
     GenSpec,
+    _generate_with,
+    _mix,
     fuzz_campaign,
     generate,
     replay_counterexample,
@@ -293,3 +299,63 @@ class TestCampaigns:
                 tol=TolerancePolicy(rtol=0.2, atol=1e-9),
             )
             assert rep.trials == 20
+
+
+class TestWorkPerTrial:
+    """Each trial does each piece of work once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = [0]
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["estimator_exact", "estimator_scaling"])
+    def test_estimator_runs_once_per_trial(self, monkeypatch, name):
+        est = self.count_calls(monkeypatch, spectral2, "estimate_spectrum2")
+        exact = self.count_calls(monkeypatch, spectral2, "exact_spectrum2")
+        rep = fuzz_campaign(name, GenSpec(kind="symmetric2", seed=5), 50)
+        assert rep.passes + rep.violations == 50
+        assert est[0] == exact[0] == 50
+        assert len(rep.defect_error_pairs) == 50
+
+    def test_one_matrix_per_generated_input(self, monkeypatch):
+        built = self.count_calls(monkeypatch, Matrix, "__post_init__")
+        rep = fuzz_campaign("trace_entry", GenSpec(kind="perturbed", seed=6), 40)
+        assert rep.trials == 40
+        assert built[0] == 40
+
+    @pytest.mark.parametrize("name", ["estimator_exact", "estimator_scaling"])
+    def test_replay_returns_the_record(self, name):
+        m = generate(GenSpec(kind="symmetric2", seed=7))
+        rec = replay_counterexample(name, (m,))
+        assert isinstance(rec, CheckRecord) and rec.name == name
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec(kind="symmetric2", seed=8),
+            GenSpec(kind="perturbed", n=4, noise=0.3, seed=9),
+            # nine Gaussian draws per trial leave one cached in gauss_next
+            GenSpec(kind="scaled_orthogonal", n=3, seed=10),
+            GenSpec(kind="hadamard_like", n=4, noise=0.1, seed=11),
+        ],
+    )
+    def test_trial_inputs_match_a_fresh_generator(self, monkeypatch, spec):
+        prop = PROPERTIES["closure_transpose"]
+        seen = []
+
+        def recording(rng, spec, ctx):
+            seen.append(prop.make_inputs(rng, spec, ctx)[0])
+            return (seen[-1],)
+
+        monkeypatch.setitem(PROPERTIES, "closure_transpose", dataclasses.replace(prop, make_inputs=recording))
+        fuzz_campaign("closure_transpose", spec, 6)
+        assert seen[0] == generate(spec)
+        assert seen == [_generate_with(random.Random(_mix(spec.seed, i)), spec) for i in range(6)]

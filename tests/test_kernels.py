@@ -1,17 +1,24 @@
-"""The kernels against exact rational arithmetic.
+"""The kernels against exact arithmetic and against their earlier forms.
 
 Float results are compared with `fractions.Fraction` recomputations from
 `perfbench/oracles.py`, within the first-order rounding bound of recursive
 summation (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4)
-and, for determinants, within a share of the Hadamard bound.
+and, for determinants, within a share of the Hadamard bound; 2x2 spectra
+with 80-digit `decimal` roots. The balance kernels must also agree bit for
+bit with the index-arithmetic forms kept in `tests/oracles.py`.
 """
 
 import importlib.util
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import assume, given
+import pytest
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import oracles
 from balmat import _kernels
 from balmat.algebra import det_via_trail
 from balmat.core import Matrix
@@ -72,3 +79,229 @@ def test_det_via_trail_matches_exact(case):
     det = det_via_trail(Matrix(n, n, tuple(entries)))
     assume(det != 0.0)  # rank-deficient at the pivot threshold
     assert exact.det_close(det, _rows(entries, n, n))
+
+
+# ---------------------------------------------------------------------------
+# Bit for bit against the index-arithmetic kernels
+# ---------------------------------------------------------------------------
+
+#: Signed zeros, subnormals, ordinary values, and magnitudes whose squares
+#: (from 1e154) or sums (near 1e308) overflow to inf.
+wide_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e154, max_value=1e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@st.composite
+def wide_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=8))
+    entries = draw(st.lists(wide_entry, min_size=n * m, max_size=n * m))
+    return entries, n, m
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@given(wide_matrices())
+@example(([1e154, 1e154, 1e154, 1e154], 2, 2))
+# 1 + 1 + 1 + 2^54 rounds to 2^54 + 4 left to right but to 2^54 right to left
+@example(([1.0, 1.0, 1.0, 2.0**27], 1, 4))
+@example(([1.0, 1.0, 1.0, 2.0**27], 4, 1))
+@example(([1e308, 1e308, -1e308, 1e308, 5e-324, -0.0], 3, 2))
+def test_square_sums_bit_for_bit(case):
+    entries, n, m = case
+    assert hexes(_kernels.row_square_sums(entries, n, m)) == hexes(oracles.row_square_sums(entries, n, m))
+    assert hexes(_kernels.col_square_sums(entries, n, m)) == hexes(oracles.col_square_sums(entries, n, m))
+
+
+@given(wide_matrices())
+@example(([1e308, 1e308, -1e308, 1e308, 5e-324, -0.0], 3, 2))
+# 1 + 1 + 2^53 is 2^53 + 2 left to right but 2^53 right to left
+@example(([1.0, 1.0, 2.0**53], 1, 3))
+@example(([1.0, 1.0, 2.0**53], 3, 1))
+def test_line_stats_bit_for_bit(case):
+    entries, n, m = case
+    got = _kernels.line_stats(entries, n, m)
+    want = oracles.line_stats(entries, n, m)
+    assert [hexes(v) for v in got] == [hexes(v) for v in want]
+
+
+#: Any float, NaN and the infinities included.
+any_float = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@given(
+    st.lists(any_float, min_size=0, max_size=8),
+    st.one_of(st.floats(min_value=-1.0, max_value=4.0), any_float),
+    st.one_of(st.floats(min_value=-1.0, max_value=1.0), any_float),
+)
+def test_sums_all_close_matches_pairwise(sums, rtol, atol):
+    assert _kernels.sums_all_close(sums, rtol, atol) is oracles.sums_all_close(sums, rtol, atol)
+
+
+@given(wide_matrices(), st.floats(min_value=0.0, max_value=2.0), st.floats(min_value=0.0, max_value=1e-3))
+def test_sums_all_close_matches_pairwise_on_square_sums(case, rtol, atol):
+    for sums in (_kernels.row_square_sums(*case), _kernels.col_square_sums(*case)):
+        assert _kernels.sums_all_close(sums, rtol, atol) is oracles.sums_all_close(sums, rtol, atol)
+
+
+def _agree(sums, rtol, atol):
+    got = _kernels.sums_all_close(sums, rtol, atol)
+    assert got is oracles.sums_all_close(sums, rtol, atol), (sums, rtol, atol)
+    return got
+
+
+# The (lo, rtol, atol) cases below are dyadic, so their boundary spans are exact.
+@pytest.mark.parametrize(
+    "lo, rtol, atol", [(1.0, 0.5, 0.5), (3.0, 0.125, 0.25), (0.0, 0.25, 2.0), (2.0, 1.0, 0.0), (4.0, 3.0, 1.0)]
+)
+def test_sums_all_close_span_on_the_min_allowance(lo, rtol, atol):
+    # max - min exactly atol + rtol*min: the screen answers True on it and
+    # below it; one ulp above it the pairwise loop decides.
+    hi = lo + (atol + rtol * lo)
+    assert hi - lo == atol + rtol * lo
+    for top in (math.nextafter(hi, -math.inf), hi, math.nextafter(hi, math.inf)):
+        for sums in ([lo, top], [top, lo], [top, (lo + top) / 2, lo]):
+            _agree(sums, rtol, atol)
+    assert _agree([lo, hi], rtol, atol) is True
+
+
+@pytest.mark.parametrize("lo, rtol, atol", [(1.0, 0.5, 0.5), (3.0, 0.25, 0.0), (0.0, 0.5, 1.0), (0.5, 0.5, 0.25)])
+def test_sums_all_close_span_on_the_max_allowance(lo, rtol, atol):
+    # max - min exactly atol + rtol*max: still close; one ulp above is not.
+    hi = (lo + atol) / (1.0 - rtol)
+    assert hi - lo == atol + rtol * hi
+    assert _agree([lo, hi], rtol, atol) is True
+    assert _agree([hi, lo], rtol, atol) is True
+    assert _agree([lo, math.nextafter(hi, math.inf)], rtol, atol) is False
+    for top in (math.nextafter(hi, -math.inf), hi, math.nextafter(hi, math.inf)):
+        for sums in ([lo, top], [top, lo], [lo, top, (lo + top) / 2]):
+            _agree(sums, rtol, atol)
+
+
+@pytest.mark.parametrize(
+    "sums, rtol, atol",
+    [
+        ([], 1e-6, 1e-9),
+        ([5.0], 0.0, -1.0),
+        ([-2.0, -1.0], 0.5, 1.0),  # negative: the pairwise allowance is wider
+        ([-3.0, 1.0], 1.0, 0.0),
+        ([-1.0, 1.0, 0.5], 0.0, 2.0),
+        ([0.0, 0.5, 10.0], 2.0, -1.0),  # negative atol: the span alone does not decide
+        ([1.0, 1.5], -0.5, 1.0),  # negative rtol
+        ([math.inf, 1.0], 1e-6, 1e-9),
+        ([math.inf, math.inf], 1e-6, 1e-9),
+        ([1.0, math.inf], 0.0, 1.0),
+        ([math.nan, 1.0, 5.0], 1e-6, 1e-9),
+        ([1.0, math.nan, 5.0], 1e-6, 1e-9),
+        ([1.0, 5.0, math.nan], 1e-6, 1e-9),
+        ([1.0, math.nan, 1.0], 1e-6, 1e-9),
+        ([0.0, math.nan], 0.0, -1.0),  # one comparable value is no pair
+        ([1.0, 3.0], 1.0, 0.0),
+        ([1.0, 3.0], 2.5, 0.0),
+        ([0.0, 7.0], 1.0, 0.0),
+        ([-0.0, 0.0, 5e-324], 0.0, 0.0),
+    ],
+)
+def test_sums_all_close_edge_inputs(sums, rtol, atol):
+    _agree(sums, rtol, atol)
+
+
+# ---------------------------------------------------------------------------
+# spectrum2 against 80-digit decimal roots
+# ---------------------------------------------------------------------------
+
+REL = 1e-13
+
+
+def exact_spectrum(a, b, c, d):
+    """Spectrum of [[a, b], [c, d]] in spectrum2's form, to 80 digits.
+
+    Trace, determinant and discriminant are exact fractions; only the
+    square root and the divisions round, at 80 digits. The smaller real
+    root comes from det / (larger root), so it keeps 80 digits however
+    small it is. A real spectrum comes as its two roots in increasing
+    order; a complex pair as its shared real part and modulus.
+    """
+    A, B, C, D = (Fraction(v) for v in (a, b, c, d))
+    tr, det, disc = A + D, A * D - B * C, (A - D) ** 2 + 4 * B * C
+    with localcontext() as ctx:
+        ctx.prec = 80
+
+        def dec(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+
+        if disc < 0:
+            return dec(tr) / 2, dec(det).sqrt(), True
+        s = dec(disc).sqrt()
+        big = (dec(tr) + s) / 2 if tr >= 0 else (dec(tr) - s) / 2
+        small = dec(det) / big if big else Decimal(0)
+        return min(small, big), max(small, big), False
+
+
+def check_spectrum2(case, scale=None):
+    """spectrum2 on `case` against the exact roots, each within REL of `scale`.
+
+    `scale` defaults to each root's own magnitude. Roots of equal magnitude
+    (trace 0) may come in either order, so real roots are compared sorted.
+    """
+    lam1, lam2, is_complex = _kernels.spectrum2(*case)
+    want1, want2, want_complex = exact_spectrum(*case)
+    assert bool(is_complex) == want_complex
+    if not is_complex:
+        assert abs(lam1) <= abs(lam2)
+        lam1, lam2 = sorted((lam1, lam2))
+    for got, want in ((lam1, want1), (lam2, want2)):
+        bound = Decimal(REL) * (abs(want) if scale is None else scale(want1, want2))
+        assert abs(Decimal(got) - want) <= bound, (case, got, want)
+
+
+# Entries k * 2^e with |k| <= 2^20: every step of spectrum2 before its
+# square roots is exact, so each root is checked relative to itself and the
+# real/complex verdict must match exactly.
+W = 2**20
+
+
+@st.composite
+def near_boundary(draw):
+    """Integer entries whose discriminant (a-d)^2 + 4bc is near 0."""
+    t = draw(st.integers(-W, W))
+    b = draw(st.integers(1, W)) * draw(st.sampled_from([1, -1]))
+    c = round(-t * t / (4 * b)) + draw(st.integers(-3, 3))
+    assume(abs(c) <= W)
+    a = draw(st.integers(-W // 2, W // 2))
+    d = a - t
+    assume(abs(d) <= W)
+    return a, b, c, d
+
+
+@given(
+    st.one_of(near_boundary(), st.tuples(*[st.integers(-W, W)] * 4)),
+    st.integers(-60, 60),
+)
+@example((3, 1, -1, 1), 0)  # disc = 0: a double root
+@example((1, 1, -1, -1), 0)  # nilpotent: both roots 0
+@example((4, 4, -1, 0), -2)  # disc = 0 with a non-integer entry
+@example((W, W - 1, -W, -W), 0)  # disc = -4 against 4.4e12 terms
+@example((W, -W, W - 1, -W), 0)
+@example((0, -1, -3, 0), 0)  # roots +/- sqrt(3): equal magnitudes
+@example((W, 1, 1, 0), 0)  # roots 2^20 and about -2^-20: no cancellation allowed
+@example((1, 1, -2, -2), -57)  # roots 0 and -2^-57
+def test_spectrum2_exact_discriminant(case, exponent):
+    check_spectrum2(tuple(k * 2.0**exponent for k in case))
+
+
+@given(entry, entry, st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)), st.integers(-14, 6))
+@example(1.0, 0.0, 0.0, 0)  # a double root: b = 0 and a = d
+@example(-517.407816675707, 0.04981803501249208, 4.3e-7, 0)
+@example(0.0, -203048.61143655225, 0.0, 0)  # roots +/- b
+def test_spectrum2_symmetric(a, b, gap, exponent):
+    # Symmetric matrices have a real spectrum with well-conditioned roots,
+    # so both are checked relative to the spectral radius, down to a
+    # vanishing discriminant (a = d, b -> 0).
+    check_spectrum2((a, b, b, a + gap * 10.0**exponent), lambda w1, w2: max(abs(w1), abs(w2)))
