@@ -10,31 +10,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+# Only what every command needs loads here; each handler imports the module
+# it runs, so a file command never loads the fuzzing harness.
 from balmat import _kernels
 from balmat.balance import BalanceReport, classify_balance
-from balmat.core import CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
-from balmat.algebra import _det_rank_steps
-from balmat.discrepancy import (
-    DiscrepancyReport,
-    discrepancy_report,
-    fairness_propagation_check,
-    fairness_transfer_check,
-    find_balanced_interior,
-    one_fair_row_check,
-)
+from balmat.core import GENERATOR_KINDS, CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
 from balmat.errors import BalmatError, HypothesisError, ParseError
-from balmat.genfuzz import GENERATOR_KINDS, GenSpec, FuzzReport, fuzz_campaign
-from balmat.spectral2 import (
-    QUADFORM_GRID,
-    estimate_spectrum2,
-    exact_spectrum2,
-    quadform_branch_select,
-    quadform_eval,
-    quadform_predict,
-)
+
+if TYPE_CHECKING:
+    from balmat.discrepancy import DiscrepancyReport
+    from balmat.genfuzz import FuzzReport
 
 COMMANDS = ("check", "spectrum", "quadform", "discrepancy", "det", "interior", "fuzz")
 
@@ -226,6 +214,8 @@ def _cmd_check(config: CliConfig, a: Matrix) -> dict:
 
 
 def _cmd_spectrum(config: CliConfig, a: Matrix) -> dict:
+    from balmat.spectral2 import estimate_spectrum2, exact_spectrum2
+
     tol = config.tolerance()
     est = estimate_spectrum2(a, tol)
     s = exact_spectrum2(a)
@@ -244,6 +234,14 @@ def _cmd_spectrum(config: CliConfig, a: Matrix) -> dict:
 
 
 def _cmd_quadform(config: CliConfig, a: Matrix) -> dict:
+    from balmat.spectral2 import (
+        QUADFORM_GRID,
+        exact_spectrum2,
+        quadform_branch_select,
+        quadform_eval,
+        quadform_predict,
+    )
+
     branch = quadform_branch_select(a)
     s = exact_spectrum2(a)
     if branch == "b_gt_a":
@@ -267,6 +265,13 @@ def _cmd_quadform(config: CliConfig, a: Matrix) -> dict:
 
 
 def _cmd_discrepancy(config: CliConfig, a: Matrix) -> dict:
+    from balmat.discrepancy import (
+        discrepancy_report,
+        fairness_propagation_check,
+        fairness_transfer_check,
+        one_fair_row_check,
+    )
+
     tol = config.tolerance()
     checks: dict[str, object] = {}
 
@@ -290,11 +295,15 @@ def _cmd_discrepancy(config: CliConfig, a: Matrix) -> dict:
 
 
 def _cmd_det(config: CliConfig, a: Matrix) -> dict:
+    from balmat.algebra import _det_rank_steps
+
     value, rank, steps = _det_rank_steps(a, config.pivot_tol)
     return {"determinant": value, "rank": rank, "trail_length": steps}
 
 
 def _cmd_interior(config: CliConfig, a: Matrix) -> dict:
+    from balmat.discrepancy import find_balanced_interior
+
     match = find_balanced_interior(a, config.tolerance(), config.min_dim)
     if match is None:
         return {"found": False}
@@ -308,6 +317,8 @@ def _cmd_interior(config: CliConfig, a: Matrix) -> dict:
 
 
 def _cmd_fuzz(config: CliConfig) -> dict:
+    from balmat.genfuzz import GenSpec, fuzz_campaign
+
     spec = GenSpec(
         kind=config.fuzz_kind,
         n=config.fuzz_n,
@@ -424,6 +435,8 @@ def run(config: CliConfig, out=None, err=None) -> int:
         print(f"balmat {config.command}: error: {exc}", file=err)
         return 1
     except Exception:
+        import traceback
+
         print(f"balmat {config.command}: internal error", file=err)
         traceback.print_exc(file=err)
         return 2

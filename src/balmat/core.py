@@ -42,6 +42,10 @@ class TolerancePolicy:
 #: exact-arithmetic identities, loose enough to absorb float rounding.
 DEFAULT_TOL = TolerancePolicy(rtol=1e-6, atol=1e-9)
 
+#: Matrix families `genfuzz.generate` builds; also the CLI's `fuzz --kind`
+#: choices, kept here so the parser needs no fuzzing code.
+GENERATOR_KINDS = ("constant", "symmetric2", "hadamard_like", "scaled_orthogonal", "perturbed")
+
 
 def approx_eq(x: float, y: float, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Whether x and y agree under `tol`. Symmetric in its arguments."""

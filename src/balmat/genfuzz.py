@@ -24,6 +24,7 @@ from balmat import _kernels, algebra, spectral2
 from balmat.balance import balance_defect, classify_balance, square_sums
 from balmat.core import (
     DEFAULT_TOL,
+    GENERATOR_KINDS,
     CheckRecord,
     Matrix,
     TolerancePolicy,
@@ -44,8 +45,6 @@ from balmat.errors import (
     SingularMatrixError,
     UnsupportedDimensionError,
 )
-
-GENERATOR_KINDS = ("constant", "symmetric2", "hadamard_like", "scaled_orthogonal", "perturbed")
 
 #: Exactly balanced families must come out with defects at or below this.
 DEFECT_FLOOR = 1e-12
@@ -401,16 +400,17 @@ def _estimator_error(a, ctx):
     """(estimate, error, defect) of the entry-sum estimator on a real-spectrum 2x2.
 
     None when `a` is not 2x2 or its spectrum is complex; the estimator's
-    own hypothesis gates raise HypothesisError.
+    own hypothesis gates raise HypothesisError. The defect is the one the
+    estimator's balance gate measured.
     """
     if not _is_2x2(a):
         return None
-    est = spectral2.estimate_spectrum2(a, ctx.tol)
+    est, report = spectral2._estimate_and_report(a, ctx.tol)
     s = spectral2.exact_spectrum2(a)
     if s.is_complex:
         return None
     err = max(abs(est.max_estimate - s.max_abs), abs(est.min_estimate - s.min_abs))
-    return est, err, _max_defect(a)
+    return est, err, report.max_defect
 
 
 def _check_estimator_exact(ms, ctx):

@@ -15,7 +15,7 @@ from typing import Literal
 
 from balmat import _kernels
 from balmat.algebra import add, det2
-from balmat.balance import require_balanced, require_positive
+from balmat.balance import BalanceReport, require_balanced, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, approx_eq
 from balmat.discrepancy import discrepancy_report
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError, SymmetryError
@@ -97,8 +97,13 @@ def estimate_spectrum2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Spectru
     minimizes the worst-case deviation while `spread` preserves how much the
     four readings disagreed.
     """
+    return _estimate_and_report(a, tol)[0]
+
+
+def _estimate_and_report(a: Matrix, tol: TolerancePolicy) -> tuple[SpectrumEstimate, BalanceReport]:
+    """`estimate_spectrum2` plus the balance report its gate computed."""
     _require_2x2(a)
-    require_balanced(a, tol)
+    report = require_balanced(a, tol)
     _require_entries_at_least_one(a)
     ea, eb, ec, ed = a.entries
     s0, s1, s2, s3 = ea + eb, ec + ed, ea + ec, eb + ed
@@ -109,7 +114,7 @@ def estimate_spectrum2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Spectru
         max(abs(s0 - hi), abs(s1 - hi), abs(s2 - hi), abs(s3 - hi)),
         max(abs(d0 - lo), abs(d1 - lo), abs(d2 - lo), abs(d3 - lo)),
     )
-    return SpectrumEstimate(max_estimate=hi, min_estimate=lo, spread=spread)
+    return SpectrumEstimate(max_estimate=hi, min_estimate=lo, spread=spread), report
 
 
 def trace_entry_check(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> CheckRecord:

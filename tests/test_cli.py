@@ -240,6 +240,7 @@ class TestCommands:
         out, err = io.StringIO(), io.StringIO()
         assert cli_mod.run(config, out=out, err=err) == 2
         assert "internal error" in err.getvalue()
+        assert "RuntimeError: kaboom" in err.getvalue()
 
     def test_json_byte_determinism(self):
         argv = [

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from balmat import spectral2
+from balmat import _kernels, spectral2
 from balmat.balance import balance_defect, classify_balance
 from balmat.core import CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
 from balmat.errors import ConfigurationError, UnsupportedDimensionError
@@ -318,11 +318,15 @@ class TestWorkPerTrial:
 
     @pytest.mark.parametrize("name", ["estimator_exact", "estimator_scaling"])
     def test_estimator_runs_once_per_trial(self, monkeypatch, name):
-        est = self.count_calls(monkeypatch, spectral2, "estimate_spectrum2")
+        # The check calls the estimator through the variant that also
+        # returns its gate's balance report, for the defect of the pair.
+        est = self.count_calls(monkeypatch, spectral2, "_estimate_and_report")
         exact = self.count_calls(monkeypatch, spectral2, "exact_spectrum2")
+        square_sums = self.count_calls(monkeypatch, _kernels, "row_square_sums")
         rep = fuzz_campaign(name, GenSpec(kind="symmetric2", seed=5), 50)
         assert rep.passes + rep.violations == 50
         assert est[0] == exact[0] == 50
+        assert square_sums[0] == 50
         assert len(rep.defect_error_pairs) == 50
 
     def test_one_matrix_per_generated_input(self, monkeypatch):
