@@ -1,16 +1,20 @@
 """Command-line front door: CSV matrices in, text or JSON reports out.
 
 Exit status: 0 on success, 1 for domain errors (parse failures, dimension
-mismatches, unsatisfied hypotheses), 2 for unexpected internal errors.
-Hypothesis failures are ordinary outcomes when probing arbitrary matrices,
-so they exit with a clear message rather than a traceback.
+mismatches, unsatisfied hypotheses) and when the output stream closes before
+the report is written (`balmat ... | head`), 2 for unexpected internal
+errors. Hypothesis failures are ordinary outcomes when probing arbitrary
+matrices, so they exit with a clear message rather than a traceback.
+
+Handlers read the parsed `argparse.Namespace` directly: the parser is the
+one place that names and defaults each setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # Only what every command needs loads here; each handler imports the module
@@ -26,30 +30,13 @@ if TYPE_CHECKING:
 
 COMMANDS = ("check", "spectrum", "quadform", "discrepancy", "det", "interior", "fuzz")
 
-
-@dataclass
-class CliConfig:
-    command: str
-    input_path: str | None = None
-    tol_rtol: float = 1e-6
-    tol_atol: float = 1e-9
-    fair_eps: float = 0.1
-    unfair_theta: float = 1.0
-    pivot_tol: float = 1e-10
-    min_dim: int = 2
-    output_format: str = "text"
-    # fuzz-only fields
-    fuzz_property: str | None = None
-    fuzz_kind: str | None = None
-    fuzz_n: int = 2
-    fuzz_trials: int = 100
-    fuzz_noise: float = 0.0
-    fuzz_seed: int = 0
-    fuzz_entry_low: float = 1.0
-    fuzz_entry_high: float = 100.0
-
-    def tolerance(self) -> TolerancePolicy:
-        return TolerancePolicy(rtol=self.tol_rtol, atol=self.tol_atol)
+#: Settings echoed under "params", in output order: every command's, then the
+#: extra ones of `interior` and of `fuzz`. Each is a parsed option's dest.
+_PARAM_KEYS = ("rtol", "atol", "fair_eps", "unfair_theta", "pivot_tol")
+_EXTRA_PARAM_KEYS = {
+    "interior": ("min_dim",),
+    "fuzz": ("property", "kind", "n", "trials", "noise", "seed", "entry_low", "entry_high"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +196,18 @@ def _fuzz_dict(rep: FuzzReport) -> dict:
     }
 
 
-def _cmd_check(config: CliConfig, a: Matrix) -> dict:
-    return _balance_dict(classify_balance(a, config.tolerance()))
+def _tolerance(ns: argparse.Namespace) -> TolerancePolicy:
+    return TolerancePolicy(rtol=ns.rtol, atol=ns.atol)
 
 
-def _cmd_spectrum(config: CliConfig, a: Matrix) -> dict:
+def _cmd_check(ns: argparse.Namespace, a: Matrix) -> dict:
+    return _balance_dict(classify_balance(a, _tolerance(ns)))
+
+
+def _cmd_spectrum(ns: argparse.Namespace, a: Matrix) -> dict:
     from balmat.spectral2 import estimate_spectrum2, exact_spectrum2
 
-    tol = config.tolerance()
-    est = estimate_spectrum2(a, tol)
+    est = estimate_spectrum2(a, _tolerance(ns))
     s = exact_spectrum2(a)
     return {
         "exact": {"lambda1": s.lambda1, "lambda2": s.lambda2, "is_complex": s.is_complex},
@@ -233,9 +223,10 @@ def _cmd_spectrum(config: CliConfig, a: Matrix) -> dict:
     }
 
 
-def _cmd_quadform(config: CliConfig, a: Matrix) -> dict:
+def _cmd_quadform(ns: argparse.Namespace, a: Matrix) -> dict:
     from balmat.spectral2 import (
         QUADFORM_GRID,
+        _quadform_coeffs,
         exact_spectrum2,
         quadform_branch_select,
         quadform_eval,
@@ -244,12 +235,7 @@ def _cmd_quadform(config: CliConfig, a: Matrix) -> dict:
 
     branch = quadform_branch_select(a)
     s = exact_spectrum2(a)
-    if branch == "b_gt_a":
-        coeff_sum_sq = 0.5 * (s.max_abs - s.min_abs)
-        coeff_xy = 2.0 * s.min_abs
-    else:
-        coeff_sum_sq = 0.5 * (s.max_abs + s.min_abs)
-        coeff_xy = -2.0 * s.min_abs
+    coeff_sum_sq, coeff_xy = _quadform_coeffs(s, branch)
     worst = 0.0
     for x, y in QUADFORM_GRID:
         err = abs(quadform_predict(s, branch, x, y) - quadform_eval(a, x, y))
@@ -264,7 +250,7 @@ def _cmd_quadform(config: CliConfig, a: Matrix) -> dict:
     }
 
 
-def _cmd_discrepancy(config: CliConfig, a: Matrix) -> dict:
+def _cmd_discrepancy(ns: argparse.Namespace, a: Matrix) -> dict:
     from balmat.discrepancy import (
         discrepancy_report,
         fairness_propagation_check,
@@ -272,7 +258,7 @@ def _cmd_discrepancy(config: CliConfig, a: Matrix) -> dict:
         one_fair_row_check,
     )
 
-    tol = config.tolerance()
+    tol = _tolerance(ns)
     checks: dict[str, object] = {}
 
     def run_check(name, fn):
@@ -283,28 +269,24 @@ def _cmd_discrepancy(config: CliConfig, a: Matrix) -> dict:
             return
         checks[name] = {"not_applicable": True} if rec is None else _record_dict(rec)
 
-    run_check("fairness_transfer", lambda: fairness_transfer_check(a, tol, config.fair_eps))
-    run_check(
-        "one_fair_row",
-        lambda: one_fair_row_check(a, tol, config.fair_eps, config.unfair_theta),
-    )
-    run_check(
-        "fairness_propagation", lambda: fairness_propagation_check(a, tol, config.fair_eps)
-    )
-    return {"report": _discrepancy_dict(discrepancy_report(a, config.fair_eps)), "checks": checks}
+    eps = ns.fair_eps
+    run_check("fairness_transfer", lambda: fairness_transfer_check(a, tol, eps))
+    run_check("one_fair_row", lambda: one_fair_row_check(a, tol, eps, ns.unfair_theta))
+    run_check("fairness_propagation", lambda: fairness_propagation_check(a, tol, eps))
+    return {"report": _discrepancy_dict(discrepancy_report(a, eps)), "checks": checks}
 
 
-def _cmd_det(config: CliConfig, a: Matrix) -> dict:
+def _cmd_det(ns: argparse.Namespace, a: Matrix) -> dict:
     from balmat.algebra import _det_rank_steps
 
-    value, rank, steps = _det_rank_steps(a, config.pivot_tol)
+    value, rank, steps = _det_rank_steps(a, ns.pivot_tol)
     return {"determinant": value, "rank": rank, "trail_length": steps}
 
 
-def _cmd_interior(config: CliConfig, a: Matrix) -> dict:
+def _cmd_interior(ns: argparse.Namespace, a: Matrix) -> dict:
     from balmat.discrepancy import find_balanced_interior
 
-    match = find_balanced_interior(a, config.tolerance(), config.min_dim)
+    match = find_balanced_interior(a, _tolerance(ns), ns.min_dim)
     if match is None:
         return {"found": False}
     return {
@@ -316,26 +298,26 @@ def _cmd_interior(config: CliConfig, a: Matrix) -> dict:
     }
 
 
-def _cmd_fuzz(config: CliConfig) -> dict:
+def _cmd_fuzz(ns: argparse.Namespace) -> dict:
     from balmat.genfuzz import GenSpec, fuzz_campaign
 
     spec = GenSpec(
-        kind=config.fuzz_kind,
-        n=config.fuzz_n,
-        entry_low=config.fuzz_entry_low,
-        entry_high=config.fuzz_entry_high,
-        noise=config.fuzz_noise,
-        seed=config.fuzz_seed,
+        kind=ns.kind,
+        n=ns.n,
+        entry_low=ns.entry_low,
+        entry_high=ns.entry_high,
+        noise=ns.noise,
+        seed=ns.seed,
     )
     report = fuzz_campaign(
-        config.fuzz_property,
+        ns.property,
         spec,
-        config.fuzz_trials,
-        config.tolerance(),
-        config.fair_eps,
-        unfair_theta=config.unfair_theta,
-        pivot_tol=config.pivot_tol,
-        min_dim=config.min_dim,
+        ns.trials,
+        _tolerance(ns),
+        ns.fair_eps,
+        unfair_theta=ns.unfair_theta,
+        pivot_tol=ns.pivot_tol,
+        min_dim=ns.min_dim,
     )
     return _fuzz_dict(report)
 
@@ -386,41 +368,16 @@ def _scalar_text(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _params_dict(config: CliConfig) -> dict:
-    params = {
-        "rtol": config.tol_rtol,
-        "atol": config.tol_atol,
-        "fair_eps": config.fair_eps,
-        "unfair_theta": config.unfair_theta,
-        "pivot_tol": config.pivot_tol,
-    }
-    if config.command == "interior":
-        params["min_dim"] = config.min_dim
-    if config.command == "fuzz":
-        params.update(
-            {
-                "property": config.fuzz_property,
-                "kind": config.fuzz_kind,
-                "n": config.fuzz_n,
-                "trials": config.fuzz_trials,
-                "noise": config.fuzz_noise,
-                "seed": config.fuzz_seed,
-                "entry_low": config.fuzz_entry_low,
-                "entry_high": config.fuzz_entry_high,
-            }
-        )
-    return params
-
-
-def run(config: CliConfig, out=None, err=None) -> int:
-    """Execute one CLI invocation; returns the process exit status."""
+def run(ns: argparse.Namespace, out=None, err=None) -> int:
+    """Execute one parsed CLI invocation; returns the process exit status."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    input_path = getattr(ns, "input", None)  # `fuzz` reads no file
     try:
-        if config.command == "fuzz":
-            result = _cmd_fuzz(config)
+        if ns.command == "fuzz":
+            result = _cmd_fuzz(ns)
         else:
-            with open(config.input_path, "r", encoding="utf-8") as fh:
+            with open(input_path, "r", encoding="utf-8") as fh:
                 a = parse_matrix_csv(fh.read())
             handler = {
                 "check": _cmd_check,
@@ -429,27 +386,34 @@ def run(config: CliConfig, out=None, err=None) -> int:
                 "discrepancy": _cmd_discrepancy,
                 "det": _cmd_det,
                 "interior": _cmd_interior,
-            }[config.command]
-            result = handler(config, a)
+            }[ns.command]
+            result = handler(ns, a)
     except (BalmatError, OSError) as exc:
-        print(f"balmat {config.command}: error: {exc}", file=err)
+        print(f"balmat {ns.command}: error: {exc}", file=err)
         return 1
     except Exception:
         import traceback
 
-        print(f"balmat {config.command}: internal error", file=err)
+        print(f"balmat {ns.command}: internal error", file=err)
         traceback.print_exc(file=err)
         return 2
+    keys = _PARAM_KEYS + _EXTRA_PARAM_KEYS.get(ns.command, ())
     document = {
-        "command": config.command,
-        "input": config.input_path,
-        "params": _params_dict(config),
+        "command": ns.command,
+        "input": input_path,
+        "params": {key: getattr(ns, key) for key in keys},
         "result": result,
     }
-    if config.output_format == "json":
-        print(render_json(document), file=out)
-    else:
-        print("\n".join(_render_text(document)), file=out)
+    text = render_json(document) if ns.format == "json" else "\n".join(_render_text(document))
+    try:
+        print(text, file=out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at devnull so the interpreter's
+        # flush at exit does not raise again.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     return 0
 
 
@@ -470,7 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rtol", type=float, default=1e-6, help="relative tolerance (default 1e-6)")
     common.add_argument("--atol", type=float, default=1e-9, help="absolute tolerance (default 1e-9)")
     common.add_argument("--fair-eps", type=float, default=0.1, help="fairness threshold (default 0.1)")
-    common.add_argument("--theta", type=float, default=1.0, help="unfairness threshold (default 1.0)")
+    common.add_argument(
+        "--theta",
+        dest="unfair_theta",
+        metavar="THETA",
+        type=float,
+        default=1.0,
+        help="unfairness threshold (default 1.0)",
+    )
     common.add_argument(
         "--pivot-tol", type=float, default=1e-10, help="elimination pivot threshold (default 1e-10)"
     )
@@ -516,30 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> CliConfig:
-    config = CliConfig(
-        command=ns.command,
-        input_path=getattr(ns, "input", None),
-        tol_rtol=ns.rtol,
-        tol_atol=ns.atol,
-        fair_eps=ns.fair_eps,
-        unfair_theta=ns.theta,
-        pivot_tol=ns.pivot_tol,
-        min_dim=getattr(ns, "min_dim", 2),
-        output_format=ns.format,
-    )
-    if ns.command == "fuzz":
-        config.fuzz_property = ns.property
-        config.fuzz_kind = ns.kind
-        config.fuzz_n = ns.n
-        config.fuzz_trials = ns.trials
-        config.fuzz_noise = ns.noise
-        config.fuzz_seed = ns.seed
-        config.fuzz_entry_low = ns.entry_low
-        config.fuzz_entry_high = ns.entry_high
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
@@ -549,4 +496,4 @@ def main(argv: list[str] | None = None) -> int:
     if ns.command is None:
         parser.print_help(sys.stderr)
         return 1
-    return run(config_from_args(ns))
+    return run(ns)

@@ -308,7 +308,13 @@ def _max_defect(m: Matrix) -> float:
     return max(balance_defect(m, "rows"), balance_defect(m, "columns"))
 
 
-def _check_closure_add(ms, ctx):
+def _check_closure(op: str, factor: float, ms, ctx):
+    """Closure of positive balanced 2x2s under `algebra.<op>` ("add" or "mul").
+
+    The result's defect may reach `factor` times the inputs' summed defect.
+    Products amplify input defects through the cross terms; their 8x is a
+    calibration constant, violations beyond it are findings to study.
+    """
     a, b = ms
     if not (_is_2x2(a) and _is_2x2(b) and _is_positive(a) and _is_positive(b)):
         return None
@@ -316,24 +322,9 @@ def _check_closure_add(ms, ctx):
     rep_b = classify_balance(b, ctx.tol)
     if not (rep_a.fully_balanced and rep_b.fully_balanced):
         return None
-    lhs = _max_defect(algebra.add(a, b))
-    rhs = DEFECT_FLOOR + 2.0 * (rep_a.max_defect + rep_b.max_defect)
-    return CheckRecord.bounded("closure_add", lhs, rhs)
-
-
-def _check_closure_mul(ms, ctx):
-    a, b = ms
-    if not (_is_2x2(a) and _is_2x2(b) and _is_positive(a) and _is_positive(b)):
-        return None
-    rep_a = classify_balance(a, ctx.tol)
-    rep_b = classify_balance(b, ctx.tol)
-    if not (rep_a.fully_balanced and rep_b.fully_balanced):
-        return None
-    lhs = _max_defect(algebra.mul(a, b))
-    # Products amplify input defects through the cross terms; 8x is a
-    # calibration constant, violations beyond it are findings to study.
-    rhs = DEFECT_FLOOR + 8.0 * (rep_a.max_defect + rep_b.max_defect)
-    return CheckRecord.bounded("closure_mul", lhs, rhs)
+    lhs = _max_defect(getattr(algebra, op)(a, b))
+    rhs = DEFECT_FLOOR + factor * (rep_a.max_defect + rep_b.max_defect)
+    return CheckRecord.bounded(f"closure_{op}", lhs, rhs)
 
 
 def _check_closure_inverse(ms, ctx):
@@ -633,13 +624,13 @@ PROPERTIES: dict[str, PropertyDef] = {
             "closure_add",
             "sum of positive balanced 2x2 matrices stays balanced",
             _gen_pair,
-            _check_closure_add,
+            functools.partial(_check_closure, "add", 2.0),
         ),
         PropertyDef(
             "closure_mul",
             "product of positive balanced 2x2 matrices stays balanced",
             _gen_pair,
-            _check_closure_mul,
+            functools.partial(_check_closure, "mul", 8.0),
         ),
         PropertyDef(
             "closure_inverse",
@@ -741,6 +732,24 @@ PROPERTIES: dict[str, PropertyDef] = {
 }
 
 
+def _property_and_context(
+    property_name: str,
+    tol: TolerancePolicy,
+    fair_eps: float,
+    unfair_theta: float | None,
+    pivot_tol: float,
+    min_dim: int,
+) -> tuple[PropertyDef, FuzzContext]:
+    """The registered property and its trials' check parameters."""
+    prop = PROPERTIES.get(property_name)
+    if prop is None:
+        raise ConfigurationError(
+            f"unknown property {property_name!r}; known: {', '.join(sorted(PROPERTIES))}"
+        )
+    theta = 10.0 * fair_eps if unfair_theta is None else unfair_theta
+    return prop, FuzzContext(tol, fair_eps, theta, pivot_tol, min_dim)
+
+
 def fuzz_campaign(
     property_name: str,
     spec: GenSpec,
@@ -760,19 +769,11 @@ def fuzz_campaign(
     counterexamples, capped at `max_counterexamples`. unfair_theta defaults
     to 10 * fair_eps.
     """
-    prop = PROPERTIES.get(property_name)
-    if prop is None:
-        raise ConfigurationError(
-            f"unknown property {property_name!r}; known: {', '.join(sorted(PROPERTIES))}"
-        )
+    prop, ctx = _property_and_context(property_name, tol, fair_eps, unfair_theta, pivot_tol, min_dim)
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
     if max_counterexamples < 1:
         raise ConfigurationError("max_counterexamples must be at least 1")
-    theta = 10.0 * fair_eps if unfair_theta is None else unfair_theta
-    ctx = FuzzContext(
-        tol=tol, fair_eps=fair_eps, unfair_theta=theta, pivot_tol=pivot_tol, min_dim=min_dim
-    )
     passes = violations = not_applicable = 0
     worst_slack: float | None = None
     counterexamples: list[Counterexample] = []
@@ -826,12 +827,6 @@ def replay_counterexample(
     min_dim: int = 2,
 ) -> CheckRecord | None:
     """Re-run a property's check on stored counterexample inputs."""
-    prop = PROPERTIES.get(property_name)
-    if prop is None:
-        raise ConfigurationError(f"unknown property {property_name!r}")
-    theta = 10.0 * fair_eps if unfair_theta is None else unfair_theta
-    ctx = FuzzContext(
-        tol=tol, fair_eps=fair_eps, unfair_theta=theta, pivot_tol=pivot_tol, min_dim=min_dim
-    )
+    prop, ctx = _property_and_context(property_name, tol, fair_eps, unfair_theta, pivot_tol, min_dim)
     record = prop.check(tuple(matrices), ctx)
     return record[0] if type(record) is tuple else record

@@ -187,6 +187,17 @@ def quadform_branch_select(a: Matrix) -> Branch:
 QUADFORM_GRID = tuple((float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3))
 
 
+def _quadform_coeffs(s: Spectrum2, branch: Branch) -> tuple[float, float]:
+    """The branch's coefficients of (x+y)^2 and of x*y, from the spectrum alone."""
+    lam_min = s.min_abs
+    lam_max = s.max_abs
+    if branch == "b_gt_a":
+        return 0.5 * (lam_max - lam_min), 2.0 * lam_min
+    if branch == "b_lt_a":
+        return 0.5 * (lam_max + lam_min), -2.0 * lam_min
+    raise InvalidInputError(f"branch must be 'b_gt_a' or 'b_lt_a', got {branch!r}")
+
+
 def quadform_predict(s: Spectrum2, branch: Branch, x: float, y: float) -> float:
     """Quadratic form predicted from the spectrum alone.
 
@@ -195,14 +206,8 @@ def quadform_predict(s: Spectrum2, branch: Branch, x: float, y: float) -> float:
     branch "b_gt_a" gives ((M - m)/2)(x+y)^2 + 2m*x*y and branch "b_lt_a"
     gives ((M + m)/2)(x+y)^2 - 2m*x*y.
     """
-    lam_min = s.min_abs
-    lam_max = s.max_abs
-    sq = (x + y) * (x + y)
-    if branch == "b_gt_a":
-        return 0.5 * (lam_max - lam_min) * sq + 2.0 * lam_min * x * y
-    if branch == "b_lt_a":
-        return 0.5 * (lam_max + lam_min) * sq - 2.0 * lam_min * x * y
-    raise InvalidInputError(f"branch must be 'b_gt_a' or 'b_lt_a', got {branch!r}")
+    coeff_sum_sq, coeff_xy = _quadform_coeffs(s, branch)
+    return coeff_sum_sq * ((x + y) * (x + y)) + coeff_xy * x * y
 
 
 def det_homomorphism_check(

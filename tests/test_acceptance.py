@@ -277,9 +277,25 @@ def test_criterion_7_conjecture_instrumentation():
     assert ok
 
 
+#: Input files written next to every golden invocation.
+GOLDEN_INPUTS = {
+    "matrix.csv": "2,1\n1,2\n",
+    "quad_b_lt_a.csv": "2.3,0.7\n0.7,2.3\n",
+    "quad_b_gt_a.csv": "0.9,3.1\n3.1,0.9\n",
+    "identity3.csv": "1,0,0\n0,1,0\n0,0,1\n",
+}
+
 GOLDEN_INVOCATIONS = [
     ("golden_check.json", ["check", "matrix.csv", "--format", "json"]),
     ("golden_spectrum.json", ["spectrum", "matrix.csv", "--format", "json"]),
+    ("golden_quadform_b_lt_a.json", ["quadform", "quad_b_lt_a.csv", "--format", "json"]),
+    ("golden_quadform_b_gt_a.json", ["quadform", "quad_b_gt_a.csv", "--format", "json"]),
+    ("golden_det.json", ["det", "matrix.csv", "--format", "json"]),
+    ("golden_interior.json", ["interior", "identity3.csv", "--format", "json"]),
+    (
+        "golden_discrepancy.json",
+        ["discrepancy", "matrix.csv", "--fair-eps", "0.6", "--format", "json"],
+    ),
     (
         "golden_fuzz.json",
         [
@@ -304,7 +320,8 @@ GOLDEN_INVOCATIONS = [
 def test_criterion_8_cli_contract(tmp_path):
     ok = True
     failures = []
-    (tmp_path / "matrix.csv").write_text("2,1\n1,2\n")
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
     # The child runs in tmp_path, where a relative PYTHONPATH no longer
     # resolves: put the import root of the balmat under test first, so it
     # runs the same package installed or not.

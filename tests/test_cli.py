@@ -1,30 +1,41 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import balmat
 from balmat.cli import (
     build_parser,
-    config_from_args,
     parse_matrix_csv,
     render_json,
     run,
     serialize_csv,
 )
-from balmat.core import matrix_from_rows
+from balmat.core import TolerancePolicy, matrix_from_rows
 from balmat.errors import ParseError
+from balmat.genfuzz import GenSpec, fuzz_campaign
 
 
 def run_cli(argv, cwd_file_content=None):
     """Parse argv, run, capture stdout/stderr; returns (code, out, err)."""
     ns = build_parser().parse_args(argv)
-    config = config_from_args(ns)
     out, err = io.StringIO(), io.StringIO()
-    code = run(config, out=out, err=err)
+    code = run(ns, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def csv_file(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("2,1\n1,2\n")
+    return str(p)
 
 
 class TestParseMatrixCsv:
@@ -105,12 +116,6 @@ class TestRenderJson:
 
 
 class TestCommands:
-    @pytest.fixture
-    def csv_file(self, tmp_path):
-        p = tmp_path / "m.csv"
-        p.write_text("2,1\n1,2\n")
-        return str(p)
-
     def test_check_text(self, csv_file):
         code, out, err = run_cli(["check", csv_file])
         assert code == 0 and err == ""
@@ -231,16 +236,36 @@ class TestCommands:
     def test_internal_error_exit_2(self, csv_file, monkeypatch):
         import balmat.cli as cli_mod
 
-        def boom(config, a):
+        def boom(ns, a):
             raise RuntimeError("kaboom")
 
         ns = build_parser().parse_args(["check", csv_file])
-        config = config_from_args(ns)
         monkeypatch.setattr(cli_mod, "_cmd_check", boom)
         out, err = io.StringIO(), io.StringIO()
-        assert cli_mod.run(config, out=out, err=err) == 2
+        assert cli_mod.run(ns, out=out, err=err) == 2
         assert "internal error" in err.getvalue()
         assert "RuntimeError: kaboom" in err.getvalue()
+
+    def test_closed_stdout_exits_1_without_traceback(self, csv_file):
+        # The reader is gone before the report is written, as in
+        # `balmat quadform m.csv --format json | head -1`.
+        env = os.environ.copy()
+        root = str(Path(balmat.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "balmat", "quadform", csv_file, "--format", "json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b""
 
     def test_json_byte_determinism(self):
         argv = [
@@ -291,3 +316,53 @@ class TestCommands:
             )
             assert code == 0, f"{name}: {err}"
             assert json.loads(out)["result"]["trials"] == 5
+
+
+class TestParams:
+    """The "params" echo: which settings each command reports, and their values."""
+
+    def test_fuzz_uses_the_cli_theta_default(self):
+        # The CLI's --theta default is 1.0, not the library's 10 * fair_eps.
+        argv = ["fuzz", "--property", "one_fair_row", "--kind", "constant", "--n", "4"]
+        argv += ["--fair-eps", "0.2", "--rtol", "0.1", "--trials", "20", "--format", "json"]
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["params"]["unfair_theta"] == 1.0
+        spec, tol = GenSpec(kind="constant", n=4), TolerancePolicy(rtol=0.1, atol=1e-9)
+        expected = fuzz_campaign("one_fair_row", spec, 20, tol, 0.2, unfair_theta=1.0)
+        # the two defaults give different campaigns, so the test tells them apart
+        assert expected != fuzz_campaign("one_fair_row", spec, 20, tol, 0.2)
+        assert doc["result"]["passes"] == expected.passes
+        assert doc["result"]["violations"] == expected.violations
+        assert doc["result"]["not_applicable"] == expected.not_applicable
+        assert doc["result"]["worst_slack"] == expected.worst_slack
+
+    def test_min_dim_listed_by_interior_only(self, tmp_path):
+        p = tmp_path / "id4.csv"
+        p.write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
+        code, out, err = run_cli(["interior", str(p), "--min-dim", "3", "--format", "json"])
+        assert code == 0, err
+        assert json.loads(out)["params"]["min_dim"] == 3
+        _, out, _ = run_cli(
+            ["fuzz", "--property", "closure_add", "--kind", "symmetric2", "--trials", "2",
+             "--min-dim", "3", "--format", "json"]
+        )  # fmt: skip
+        params = json.loads(out)["params"]
+        assert "min_dim" not in params
+        assert list(params) == [
+            "rtol", "atol", "fair_eps", "unfair_theta", "pivot_tol",
+            "property", "kind", "n", "trials", "noise", "seed", "entry_low", "entry_high",
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("command", ["det", "quadform"])
+    def test_invalid_rtol_echoed_where_unused(self, csv_file, command):
+        code, out, err = run_cli([command, csv_file, "--rtol", "-1", "--format", "json"])
+        assert code == 0, err
+        assert json.loads(out)["params"]["rtol"] == -1
+
+    def test_invalid_rtol_rejected_where_used(self, csv_file):
+        code, out, err = run_cli(["check", csv_file, "--rtol", "-1"])
+        assert code == 1
+        assert out == ""
+        assert "rtol must be finite and non-negative" in err

@@ -109,6 +109,16 @@ class TestCampaigns:
         with pytest.raises(ConfigurationError):
             fuzz_campaign("no_such_property", GenSpec(kind="symmetric2", seed=1), 5)
 
+    def test_unknown_property_on_replay(self):
+        # replay names the known properties exactly as a campaign does
+        m = matrix_from_rows([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ConfigurationError) as replayed:
+            replay_counterexample("no_such_property", (m,))
+        with pytest.raises(ConfigurationError) as campaign:
+            fuzz_campaign("no_such_property", GenSpec(kind="symmetric2", seed=1), 5)
+        assert str(replayed.value) == str(campaign.value)
+        assert ", ".join(sorted(PROPERTIES)) in str(replayed.value)
+
     def test_trials_validated(self):
         with pytest.raises(ConfigurationError):
             fuzz_campaign("closure_add", GenSpec(kind="symmetric2", seed=1), 0)
