@@ -108,7 +108,7 @@ def spectrum2(a, b, c, d):
     return other, q, False
 
 
-def rref(entries, n, m, pivot_tol):
+def rref(entries, n, m, pivot_tol, forward_only=False):
     """Reduced row echelon form with a trail of elementary row operations.
 
     Partial pivoting: the largest-magnitude candidate in each column is
@@ -116,6 +116,11 @@ def rref(entries, n, m, pivot_tol):
     treated as zero. Pivot entries are forced to exactly 1.0 and eliminated
     entries to exactly 0.0. Returns (reduced_entries, trail, rank) where the
     trail is a list of (op_code, i, j, factor) tuples.
+
+    With `forward_only` set, rows above each pivot are left as they are, so
+    the result is a row echelon form with unit pivots. A row is complete by
+    the time it becomes the pivot row, so the swaps, the scale factors and
+    the rank are bit for bit those of the full reduction.
     """
     r = list(entries)
     trail = []
@@ -147,7 +152,7 @@ def rref(entries, n, m, pivot_tol):
             r[base + col] = 1.0
             trail.append((OP_SCALE, pivot_row, pivot_row, f))
         p_base = pivot_row * m
-        for i in range(n):
+        for i in range(pivot_row + 1 if forward_only else 0, n):
             if i == pivot_row:
                 continue
             x = r[i * m + col]
@@ -180,16 +185,23 @@ def _line_stats(lines):
     devs = []
     for line in lines:
         s = 0.0
+        lo = hi = line[0]
         for e in line:
             s += e
+            if e < lo:
+                lo = e
+            elif e > hi:
+                hi = e
         mean = s / len(line)
+        # Rounding is monotone, so the entry furthest from the mean is the
+        # lowest or the highest.
         dev = 0.0
-        for e in line:
-            d = mean - e
-            if d < 0.0:
-                d = -d
-            if d > dev:
-                dev = d
+        d = mean - lo
+        if d > dev:
+            dev = d
+        d = hi - mean
+        if d > dev:
+            dev = d
         sums.append(s)
         means.append(mean)
         devs.append(dev)

@@ -44,14 +44,6 @@ class ElementaryOp:
         if self.kind == "scale_row" and self.factor == 0.0:
             raise InvalidInputError("scale_row factor must be nonzero")
 
-    @property
-    def det_factor(self) -> float:
-        if self.kind == "scale_row":
-            return self.factor
-        if self.kind == "swap_rows":
-            return -1.0
-        return 1.0
-
 
 @dataclass(frozen=True)
 class RrefResult:
@@ -114,11 +106,11 @@ def inverse2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Matrix:
     return Matrix(2, 2, (e[3] * f, -e[1] * f, -e[2] * f, e[0] * f))
 
 
-def _rref(a: Matrix, pivot_tol: float):
+def _rref(a: Matrix, pivot_tol: float, forward_only: bool = False):
     """The rref kernel on `a`: (reduced entries, raw trail, rank)."""
     if not pivot_tol > 0:
         raise InvalidInputError(f"pivot_tol must be positive, got {pivot_tol}")
-    return _kernels.rref(a.entries, a.n_rows, a.n_cols, pivot_tol)
+    return _kernels.rref(a.entries, a.n_rows, a.n_cols, pivot_tol, forward_only)
 
 
 def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
@@ -135,7 +127,7 @@ def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
     return RrefResult(R=Matrix(a.n_rows, a.n_cols, tuple(reduced)), trail=trail, rank=rank)
 
 
-def _det_rank_steps(a: Matrix, pivot_tol: float) -> tuple[float, int, int]:
+def _det_rank_steps(a: Matrix, pivot_tol: float, forward_only: bool = False) -> tuple[float, int, int]:
     """Determinant, rank and trail length of square `a`, from one elimination.
 
     A full-rank n x n matrix reduces to the identity through elementary
@@ -146,11 +138,13 @@ def _det_rank_steps(a: Matrix, pivot_tol: float) -> tuple[float, int, int]:
 
     Elimination that overflows is rejected as `rref_with_trail` rejects it:
     a zero scale factor or a non-finite reduced entry raises
-    InvalidInputError.
+    InvalidInputError. `forward_only` skips the elimination above each
+    pivot (see `_kernels.rref`): the determinant and rank are the same, the
+    trail is shorter, and an overflow there is not seen.
     """
     if not a.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {a.n_rows}x{a.n_cols}")
-    reduced, raw_trail, rank = _rref(a, pivot_tol)
+    reduced, raw_trail, rank = _rref(a, pivot_tol, forward_only)
     prod = 1.0
     for code, _, _, factor in raw_trail:
         if code == _kernels.OP_SCALE:
@@ -171,5 +165,7 @@ def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
     A full-rank n x n matrix reduces to the identity through elementary
     operations E_1..E_k, so det(a) is the reciprocal of the product of the
     det factors of the trail. Rank-deficient input returns exactly 0.0.
+    Only forward elimination runs: the steps above each pivot are add-
+    multiples, whose det factor is 1.
     """
-    return _det_rank_steps(a, pivot_tol)[0]
+    return _det_rank_steps(a, pivot_tol, forward_only=True)[0]

@@ -70,8 +70,18 @@ class Matrix:
                 f"{self.n_rows}x{self.n_cols} matrix needs {self.n_rows * self.n_cols} entries, "
                 f"got {len(self.entries)}"
             )
+        entries = self.entries
+        if type(entries) is tuple:
+            # Already a tuple of finite floats, as every generated matrix is:
+            # nothing to convert.
+            isfinite = math.isfinite
+            for v in entries:
+                if type(v) is not float or not isfinite(v):
+                    break
+            else:
+                return
         cleaned = []
-        for value in self.entries:
+        for value in entries:
             try:
                 v = float(value)
             except (TypeError, ValueError):

@@ -138,35 +138,75 @@ def _build_hadamard(rng: random.Random, spec: GenSpec) -> list[float]:
     return [s * v for v in _sylvester_signs(n)]
 
 
+def _gaussians(rng: random.Random, count: int) -> list[float]:
+    """`count` values of `rng.gauss(0.0, 1.0)`, leaving `rng` in the same state.
+
+    Box-Muller as CPython's `Random.gauss` computes it: a pending
+    `gauss_next` is used first and an odd leftover is kept there. The
+    `0.0 +` turns -0.0 into 0.0, as `mu + z*sigma` does.
+    """
+    out = []
+    z = rng.gauss_next
+    if z is not None:
+        rng.gauss_next = None
+        out.append(0.0 + z)
+    draw = rng.random
+    cos, sin, log, sqrt, twopi = math.cos, math.sin, math.log, math.sqrt, math.tau
+    for _ in range(len(out), count, 2):
+        x2pi = draw() * twopi
+        g2rad = sqrt(-2.0 * log(1.0 - draw()))
+        z = sin(x2pi) * g2rad
+        out.append(0.0 + cos(x2pi) * g2rad)
+        out.append(0.0 + z)
+    if len(out) > count:
+        del out[count:]
+        rng.gauss_next = z
+    return out
+
+
 def _random_orthogonal(rng: random.Random, n: int) -> list[list[float]]:
     """Random orthogonal matrix: Householder QR of a Gaussian sample."""
     if n == 1:
         return [[1.0 if rng.random() < 0.5 else -1.0]]
-    gauss = rng.gauss
-    a = [[gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
+    g = _gaussians(rng, n * n)
+    a = [g[b : b + n] for b in range(0, n * n, n)]
     q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    q_is_identity = True
     for k in range(n - 1):
-        x = [a[i][k] for i in range(k, n)]
-        norm = math.sqrt(_sum_squares(x))
+        lower = a[k:]
+        v = [row[k] for row in lower]
+        norm = math.sqrt(_sum_squares(v))
         if norm == 0.0:
             continue
-        alpha = -norm if x[0] >= 0.0 else norm
-        v = list(x)
-        v[0] -= alpha
-        vnorm2 = _sum_squares(v)
-        if vnorm2 == 0.0:
-            continue
-        beta = 2.0 / vnorm2
-        # Apply I - beta v v^T to rows k.. of a (from the left) and to
-        # columns k.. of q (from the right).
-        lower = list(zip(v, a[k:]))
-        for j in range(k, n):
+        # v[0] moves away from zero, so v's squares sum to at least the
+        # column's, and that sum is not 0.0
+        v[0] -= -norm if v[0] >= 0.0 else norm
+        beta = 2.0 / _sum_squares(v)
+        # Apply I - beta v v^T to rows k.. of a (from the left). Only R's
+        # diagonal is read again, so column k keeps just a[k][k] and the
+        # other columns skip row k.
+        pairs = list(zip(v, lower))
+        below = pairs[1:]
+        w = 0.0
+        for vt, row in pairs:
+            w += vt * row[k]
+        a[k][k] -= w * beta * v[0]
+        for j in range(k + 1, n):
             w = 0.0
-            for vt, row in lower:
+            for vt, row in pairs:
                 w += vt * row[j]
             w *= beta
-            for vt, row in lower:
+            for vt, row in below:
                 row[j] -= w * vt
+        # Apply it to columns k.. of q (from the right). On the identity
+        # that leaves I - beta v v^T in rows and columns k..
+        if q_is_identity:
+            q_is_identity = False
+            for vt, row in zip(v, q[k:]):
+                w = vt * beta
+                for c, vc in enumerate(v, k):
+                    row[c] -= w * vc
+            continue
         right = list(zip(range(k, n), v))
         for row in q:
             w = 0.0
@@ -196,6 +236,7 @@ _BUILDERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _bases_for(n: int) -> tuple[str, ...]:
     bases = ["constant"]
     if n == 2:

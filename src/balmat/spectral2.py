@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from typing import Literal
 
 from balmat import _kernels
-from balmat.algebra import add, det2
 from balmat.balance import BalanceReport, require_balanced, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, approx_eq
-from balmat.discrepancy import discrepancy_report
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError, SymmetryError
+
+# `algebra` and `discrepancy` are imported inside the two checks that use
+# them, so `balmat spectrum` and `balmat quadform` load neither.
 
 Branch = Literal["b_gt_a", "b_lt_a"]
 
@@ -146,6 +147,8 @@ def emax_additivity_check(
     is the tolerance allowance widened by both estimator spreads, since the
     additivity argument runs through the entry-sum estimates.
     """
+    from balmat.algebra import add
+
     est_a = estimate_spectrum2(a, tol)
     est_b = estimate_spectrum2(b, tol)
     lhs = exact_spectrum2(add(a, b)).max_abs
@@ -225,6 +228,9 @@ def det_homomorphism_check(
     4 * fair_eps * max(A), and the remaining slack terms cover a nonzero
     smallest eigenvalue, imperfect balance of A, and float rounding.
     """
+    from balmat.algebra import add, det2
+    from balmat.discrepancy import discrepancy_report
+
     _require_2x2(a)
     _require_2x2(b)
     _require_entries_at_least_one(a, "A")

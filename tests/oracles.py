@@ -271,3 +271,61 @@ def line_stats(entries, n, m):
         col_means.append(mean)
         col_devs.append(dev)
     return row_sums, col_sums, row_means, col_means, row_devs, col_devs
+
+
+# The random orthogonal generator as it was before its Gaussian draws were
+# inlined and its dead stores dropped, kept verbatim: `rng.gauss` draws, the
+# full Householder update of the sample and of Q, Q started at the identity.
+# `balmat.genfuzz._random_orthogonal` must agree with it bit for bit.
+
+
+def _sum_squares(xs) -> float:
+    s = 0.0
+    for v in xs:
+        s += v * v
+    return s
+
+
+def random_orthogonal(rng, n: int) -> list[list[float]]:
+    """Random orthogonal matrix: Householder QR of a Gaussian sample."""
+    if n == 1:
+        return [[1.0 if rng.random() < 0.5 else -1.0]]
+    gauss = rng.gauss
+    a = [[gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
+    q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for k in range(n - 1):
+        x = [a[i][k] for i in range(k, n)]
+        norm = math.sqrt(_sum_squares(x))
+        if norm == 0.0:
+            continue
+        alpha = -norm if x[0] >= 0.0 else norm
+        v = list(x)
+        v[0] -= alpha
+        vnorm2 = _sum_squares(v)
+        if vnorm2 == 0.0:
+            continue
+        beta = 2.0 / vnorm2
+        # Apply I - beta v v^T to rows k.. of a (from the left) and to
+        # columns k.. of q (from the right).
+        lower = list(zip(v, a[k:]))
+        for j in range(k, n):
+            w = 0.0
+            for vt, row in lower:
+                w += vt * row[j]
+            w *= beta
+            for vt, row in lower:
+                row[j] -= w * vt
+        right = list(zip(range(k, n), v))
+        for row in q:
+            w = 0.0
+            for col, vt in right:
+                w += row[col] * vt
+            w *= beta
+            for col, vt in right:
+                row[col] -= w * vt
+    # Fix reflection signs so the implicit R has a positive diagonal.
+    for j in range(n):
+        if a[j][j] < 0.0:
+            for i in range(n):
+                q[i][j] = -q[i][j]
+    return q

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from balmat import _kernels
 from balmat.algebra import (
+    _det_rank_steps,
     add,
     det2,
     det_via_trail,
@@ -52,6 +54,17 @@ def well_scaled_matrices(draw, max_dim=5):
         st.lists(st.lists(well_scaled_entry, min_size=m, max_size=m), min_size=n, max_size=n)
     )
     return matrix_from_rows(rows)
+
+
+# zero, +-1 and magnitudes under the pivot threshold, which leave skipped
+# columns and their residues, mixed with ordinary entries
+det_entry = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e-12, 3e-11]), entry)
+
+
+@st.composite
+def square_matrices(draw, max_dim=8):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    return Matrix(n, n, tuple(draw(st.lists(det_entry, min_size=n * n, max_size=n * n))))
 
 
 class TestBasicOps:
@@ -222,6 +235,38 @@ class TestDetViaTrail:
             rref_with_trail(m)
         with pytest.raises(InvalidInputError):
             det_via_trail(m)
+
+    def test_overflow_above_the_pivots_only_is_not_seen(self):
+        # Clearing column 1 above its pivot takes row 0 to -1e310 = -inf in
+        # column 2, and clearing column 2 then leaves nan. Forward
+        # elimination never goes back to row 0, and the matrix is upper
+        # unitriangular, so its determinant is exactly 1.
+        m = matrix_from_rows([[1, 1e300, 0], [0, 1, 1e10], [0, 0, 1]])
+        with pytest.raises(InvalidInputError):
+            rref_with_trail(m)
+        with pytest.raises(InvalidInputError):
+            _det_rank_steps(m, PIVOT_TOL)  # balmat det, full reduction
+        assert det_via_trail(m) == 1.0
+
+    @given(square_matrices())
+    @example(Matrix(2, 2, (1e-12, 1.0, 3e-11, 1.0)))
+    @example(Matrix(3, 3, (1.0, 2.0, 3.0, 2.0, 4.0, 6.0 + 3e-11, 1e-12, 0.0, 1.0)))
+    def test_forward_only_matches_the_full_reduction(self, m):
+        det, rank, steps = _det_rank_steps(m, PIVOT_TOL)
+        fwd_det, fwd_rank, fwd_steps = _det_rank_steps(m, PIVOT_TOL, forward_only=True)
+        assert det_via_trail(m, PIVOT_TOL).hex() == fwd_det.hex() == det.hex()
+        assert fwd_rank == rank and fwd_steps <= steps
+        # Same swaps and scale factors, in the same order; only the
+        # add-multiples above the pivots are gone.
+        full = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL)[1]
+        fwd = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL, forward_only=True)[1]
+        assert all(i > j for code, i, j, _ in fwd if code == _kernels.OP_ADDMUL)
+        assert [op for op in fwd if op[0] != _kernels.OP_ADDMUL] == [
+            op for op in full if op[0] != _kernels.OP_ADDMUL
+        ]
+        assert [op for op in fwd if op[0] == _kernels.OP_ADDMUL] == [
+            op for op in full if op[0] == _kernels.OP_ADDMUL and op[1] > op[2]
+        ]
 
     def test_matches_cofactor_oracle_on_seeded_matrices(self):
         rng = random.Random(20240817)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -112,6 +113,54 @@ class TestMatrixConstruction:
     def test_is_zero(self):
         assert constant_matrix(2, 3, 0.0).is_zero
         assert not constant_matrix(2, 3, 1e-300).is_zero
+
+
+class FloatSubclass(float):
+    pass
+
+
+class TestMatrixEntries:
+    def test_tuple_of_finite_floats_is_kept(self):
+        entries = (1.5, -0.0, 5e-324, -1e308)
+        m = Matrix(2, 2, entries)
+        assert m.entries is entries
+        assert [v.hex() for v in m.entries] == [v.hex() for v in entries]
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            ([1.5, -0.0], (1.5, -0.0)),
+            ((1, -2), (1.0, -2.0)),
+            ((True, False), (1.0, 0.0)),
+            ((FloatSubclass(1.5), 2.0), (1.5, 2.0)),
+            ((Fraction(1, 3), 2.0), (1 / 3, 2.0)),
+            (("1.5", 2.0), (1.5, 2.0)),
+            ([2.0, FloatSubclass(-0.0)], (2.0, -0.0)),
+        ],
+    )
+    def test_other_entries_become_a_tuple_of_floats(self, raw, want):
+        m = Matrix(1, 2, raw)
+        assert type(m.entries) is tuple
+        assert [type(v) for v in m.entries] == [float, float]
+        assert [v.hex() for v in m.entries] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ((1.0, math.nan), "matrix entries must be finite, got nan"),
+            ((math.inf, 1.0), "matrix entries must be finite, got inf"),
+            ([1.0, -math.inf], "matrix entries must be finite, got -inf"),
+            ((FloatSubclass(math.inf), 1.0), "matrix entries must be finite, got inf"),
+            ((1.0, "nan"), "matrix entries must be finite, got 'nan'"),
+            ((1.0, "1,5"), "matrix entry '1,5' is not a real number"),
+            ((None, 1.0), "matrix entry None is not a real number"),
+            ((1.0, 1j), "matrix entry 1j is not a real number"),
+        ],
+    )
+    def test_bad_entries_raise_as_before(self, raw, message):
+        with pytest.raises(InvalidInputError) as info:
+            Matrix(1, 2, raw)
+        assert str(info.value) == message
 
 
 class TestCheckRecord:

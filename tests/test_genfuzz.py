@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 from balmat import _kernels, spectral2
 from balmat.balance import balance_defect, classify_balance
 from balmat.core import CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
@@ -12,8 +13,10 @@ from balmat.genfuzz import (
     PROPERTIES,
     FuzzReport,
     GenSpec,
+    _gaussians,
     _generate_with,
     _mix,
+    _random_orthogonal,
     fuzz_campaign,
     generate,
     replay_counterexample,
@@ -102,6 +105,82 @@ class TestGenerate:
         clean = generate(GenSpec(kind="constant", n=3, seed=11))
         noisy = generate(GenSpec(kind="constant", n=3, noise=0.1, seed=11))
         assert clean != noisy
+
+
+def hexes(rows):
+    return [[v.hex() for v in row] for row in rows]
+
+
+def rng_pair(seed, pending):
+    """Two generators in the same state; `pending` leaves a Gaussian in gauss_next."""
+    pair = random.Random(seed), random.Random(seed)
+    if pending:
+        for rng in pair:
+            rng.gauss(0.0, 1.0)
+    return pair
+
+
+class ScriptedRandom(random.Random):
+    """A generator whose `random()` returns the given values in order."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def zero_column_script(n, zero_cols, seed):
+    """Uniforms for n*n Box-Muller draws that put exact zeros in `zero_cols`.
+
+    A second uniform of 0.0 gives a radius of zero, so both Gaussians of
+    that pair are 0.0; every pair that touches a listed column is zeroed.
+    """
+    rng = random.Random(seed)
+    script = []
+    for first in range(0, n * n, 2):
+        touches = {first % n, (first + 1) % n} if first + 1 < n * n else {first % n}
+        script += [rng.random(), 0.0 if touches & zero_cols else rng.random()]
+    return script
+
+
+class TestGaussianDraws:
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("count", range(1, 11))
+    def test_match_random_gauss(self, count, pending):
+        for seed in range(20):
+            want_rng, got_rng = rng_pair(seed, pending)
+            want = [want_rng.gauss(0.0, 1.0) for _ in range(count)]
+            got = _gaussians(got_rng, count)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert got_rng.getstate() == want_rng.getstate()
+            assert repr(got_rng.gauss_next) == repr(want_rng.gauss_next)
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_random_orthogonal_matches_the_householder_oracle(self, n, pending):
+        for seed in range(40):
+            want_rng, got_rng = rng_pair(seed, pending)
+            assert hexes(_random_orthogonal(got_rng, n)) == hexes(oracles.random_orthogonal(want_rng, n))
+            assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_random_orthogonal_with_zero_columns(self, n):
+        # A zero column k makes step k see norm == 0.0 and skip; with
+        # column 0 zero, Q is first built at a later step, and with every
+        # column zero it stays the identity.
+        rng = random.Random(n)
+        choices = [{0}, {1}, {0, 1}, {n - 2}, {n - 1}, set(range(n))]
+        choices += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(6)]
+        for trial, zero_cols in enumerate(choices):
+            script = zero_column_script(n, zero_cols, seed=100 * n + trial)
+            sample = _gaussians(ScriptedRandom(script), n * n)
+            assert all(sample[i * n + j] == 0.0 for i in range(n) for j in zero_cols)
+            got = hexes(_random_orthogonal(ScriptedRandom(script), n))
+            assert got == hexes(oracles.random_orthogonal(ScriptedRandom(script), n))
+            if len(zero_cols) == n:
+                assert got == hexes([[float(i == j) for j in range(n)] for i in range(n)])
 
 
 class TestCampaigns:

@@ -46,6 +46,9 @@ def test_file_command_skips_the_fuzzing_harness(tmp_path, command):
     assert "balmat.genfuzz" not in loaded
     if command == "check":
         assert not loaded & {"balmat.algebra", "balmat.discrepancy", "balmat.spectral2"}
+    if command in ("spectrum", "quadform"):
+        assert "balmat.spectral2" in loaded
+        assert not loaded & {"balmat.algebra", "balmat.discrepancy"}
 
 
 def test_fuzz_command_still_runs(tmp_path):
