@@ -84,7 +84,7 @@ class Matrix:
         for value in entries:
             try:
                 v = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InvalidInputError(f"matrix entry {value!r} is not a real number") from None
             if not math.isfinite(v):
                 raise InvalidInputError(f"matrix entries must be finite, got {value!r}")

@@ -4,15 +4,15 @@ The discrepancy of a line (row or column) is its plain entry sum. A line is
 *fair* at threshold eps when every entry sits strictly within eps of the
 line's mean; it is *unfair* when some entry deviates by at least a larger
 threshold theta. For balanced matrices, fairness transfers between rows and
-columns, and the interior search looks for balanced submatrices.
+columns. An interior is a contiguous block: the interior search and the check
+that fair matrices keep balanced interiors read block square sums from one table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from operator import add, itemgetter
+from operator import add
 
 from balmat import _kernels
 from balmat.balance import BalanceReport, require_balanced, require_positive
@@ -131,10 +131,8 @@ def fairness_propagation_check(
     return CheckRecord.bounded("fairness_propagation", rep.max_row_deviation, budget)
 
 
-def interior(
-    a: Matrix, row_start: int, row_count: int, col_start: int, col_count: int
-) -> Matrix:
-    """Contiguous submatrix of `a`."""
+def interior(a: Matrix, row_start: int, row_count: int, col_start: int, col_count: int) -> Matrix:
+    """Contiguous submatrix of `a`: the one way a block is built."""
     if row_count < 1 or col_count < 1:
         raise DimensionError("interior needs positive row_count and col_count")
     if not (0 <= row_start and row_start + row_count <= a.n_rows):
@@ -152,11 +150,6 @@ def interior(
     return Matrix(row_count, col_count, tuple(entries))
 
 
-def _submatrix(a: Matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Matrix:
-    entries = tuple(a.entries[i * a.n_cols + j] for i in rows for j in cols)
-    return Matrix(len(rows), len(cols), entries)
-
-
 @dataclass(frozen=True)
 class InteriorMatch:
     """A balanced interior: which rows/columns it uses and its report."""
@@ -167,76 +160,100 @@ class InteriorMatch:
     report: BalanceReport
 
 
-def _partial_sums(
-    memo: dict[tuple[int, ...], list[float]], lines: list[list[float]], idx: tuple[int, ...]
-) -> list[float]:
-    """memo[idx]: elementwise sum of `lines[t]` for t in idx, added in order.
+def _run_square_sums(a: Matrix) -> tuple[list[list[list[float]]], list[list[list[float]]]]:
+    """(by_cols, by_rows): the square sums of every contiguous run of lines.
 
-    The sum over idx extends the memoized sum over idx[:-1] by one line, so
-    every index set costs one pass, and memo[()] seeds the 0.0 start.
+    by_cols[k][t][i] is row i's square sum over columns t..t+k-1, by_rows[k][s][j]
+    column j's over rows s..s+k-1. A run is the run one line shorter plus its
+    last line, as the kernels add from 0.0; one-line runs are the squares, as
+    0.0 + x is x for a square x. So the block at rows s..s+r-1, columns t..t+c-1
+    has the row and column square sums by_cols[c][t][s : s + r] and
+    by_rows[r][s][t : t + c] that `classify_balance` finds for it, bit for bit.
     """
-    got = memo.get(idx)
-    if got is None:
-        got = memo[idx] = list(map(add, _partial_sums(memo, lines, idx[:-1]), lines[idx[-1]]))
-    return got
+    m = a.n_cols
+    sq = [e * e for e in a.entries]
+    tables = []
+    for lines in ([sq[j::m] for j in range(m)], [sq[b : b + m] for b in range(0, len(sq), m)]):
+        runs = [[], lines]
+        for k in range(2, len(lines) + 1):
+            runs.append([list(map(add, run, line)) for run, line in zip(runs[-1], lines[k - 1 :])])
+        tables.append(runs)
+    return tables[0], tables[1]
 
 
-def _scan_interiors(
-    a: Matrix, tol: TolerancePolicy, min_dim: int, contiguous: bool
-) -> tuple[InteriorMatch | None, float]:
+def _scan_interiors(a: Matrix, tol: TolerancePolicy, min_dim: int) -> tuple[InteriorMatch | None, float]:
     """One pass over the proper square interiors of `a`, in search order.
 
     Returns the first fully balanced block (or None) and the lowest
     max(horizontal, vertical) defect among the blocks visited up to it.
-    The entries are squared once. A block's square sums are added from
-    those squares in the kernels' order, from 0.0 and first index to last,
-    so its sums, defects and verdict equal `classify_balance` of the block
-    bit for bit. Only the match is built as a Matrix.
+    Each block's square sums are slices of one run-sum table, so its sums,
+    defects and verdict equal `classify_balance` of the block bit for bit.
+    Only the match and balanced blocks of all-zero square sums are built.
     """
     n = a.n_rows
-    sq = [e * e for e in a.entries]
-    sq_rows = [sq[i * n : (i + 1) * n] for i in range(n)]
-    sq_cols = [sq[j::n] for j in range(n)]
-    # by_cols[S][i]: square sum of row i over the columns S; by_rows[S][j]
-    # likewise for column j over the rows S.
-    by_cols: dict[tuple[int, ...], list[float]] = {(): [0.0] * n}
-    by_rows: dict[tuple[int, ...], list[float]] = {(): [0.0] * n}
+    by_cols, by_rows = _run_square_sums(a)
     # Looked up per call: instrumentation may rebind the kernel attributes.
     spread_defect = _kernels.spread_defect
     sums_all_close = _kernels.sums_all_close
     rtol, atol = tol.rtol, tol.atol
     best = math.inf
     for dim in range(n - 1, min_dim - 1, -1):
-        if contiguous:
-            index_sets = [tuple(range(s, s + dim)) for s in range(n - dim + 1)]
-        else:
-            index_sets = [tuple(c) for c in combinations(range(n), dim)]
-        pickers = [itemgetter(*idx) for idx in index_sets]
-        row_parts = [_partial_sums(by_cols, sq_cols, idx) for idx in index_sets]
-        col_parts = [_partial_sums(by_rows, sq_rows, idx) for idx in index_sets]
-        for rows, pick_rows, col_part in zip(index_sets, pickers, col_parts):
-            for cols, pick_cols, row_part in zip(index_sets, pickers, row_parts):
-                rs = pick_rows(row_part)
-                cs = pick_cols(col_part)
-                h_defect = spread_defect(rs)
-                v_defect = spread_defect(cs)
+        row_runs = by_cols[dim]
+        for r0, col_run in enumerate(by_rows[dim]):
+            for c0, row_run in enumerate(row_runs):
+                rs = row_run[r0 : r0 + dim]
+                cs = col_run[c0 : c0 + dim]
+                h_defect, v_defect = spread_defect(rs), spread_defect(cs)
                 defect = max(h_defect, v_defect)
                 if defect < best:
                     best = defect
                 if not (sums_all_close(rs, rtol, atol) and sums_all_close(cs, rtol, atol)):
                     continue
-                sub = _submatrix(a, rows, cols)
+                sub = interior(a, r0, dim, c0, dim)
                 # Tiny entries can square to 0.0: test the entries themselves.
-                if sub.is_zero:
+                if not any(rs) and sub.is_zero:
                     continue
-                report = BalanceReport(rs, cs, h_defect, v_defect, True, True, True, False)
-                return InteriorMatch(rows=rows, cols=cols, matrix=sub, report=report), best
+                report = BalanceReport(tuple(rs), tuple(cs), h_defect, v_defect, True, True, True, False)
+                rows, cols = tuple(range(r0, r0 + dim)), tuple(range(c0, c0 + dim))
+                return InteriorMatch(rows, cols, sub, report), best
     return None, best
 
 
-def _interior_search(
-    a: Matrix, tol: TolerancePolicy, min_dim: int, contiguous: bool = True
-) -> tuple[InteriorMatch | None, float]:
+def _interiors_balanced(a: Matrix, tol: TolerancePolicy) -> tuple[bool, float]:
+    """Whether every proper interior of `a` is fully balanced, and the worst.
+
+    Covers each contiguous block of two or more rows and columns but `a`
+    itself; worst is the largest max(horizontal, vertical) defect among the
+    unbalanced ones, or 0.0. Verdicts and defects are `classify_balance`'s,
+    bit for bit; only a block whose square sums are all 0.0 is built.
+    """
+    n, m = a.n_rows, a.n_cols
+    by_cols, by_rows = _run_square_sums(a)
+    spread_defect = _kernels.spread_defect
+    sums_all_close = _kernels.sums_all_close
+    rtol, atol = tol.rtol, tol.atol
+    ok = True
+    worst = 0.0
+    for r_count in range(2, n + 1):
+        for c_count in range(2, m + 1):
+            if r_count == n and c_count == m:
+                continue
+            row_runs = by_cols[c_count]
+            for r0, col_run in enumerate(by_rows[r_count]):
+                for c0, row_run in enumerate(row_runs):
+                    rs = row_run[r0 : r0 + r_count]
+                    cs = col_run[c0 : c0 + c_count]
+                    balanced = sums_all_close(rs, rtol, atol) and sums_all_close(cs, rtol, atol)
+                    if balanced and (any(rs) or not interior(a, r0, r_count, c0, c_count).is_zero):
+                        continue
+                    ok = False
+                    defect = max(spread_defect(rs), spread_defect(cs))
+                    if defect > worst:
+                        worst = defect
+    return ok, worst
+
+
+def _interior_search(a: Matrix, tol: TolerancePolicy, min_dim: int) -> tuple[InteriorMatch | None, float]:
     """`find_balanced_interior`'s checks and scan; also returns the best defect."""
     if not a.is_square:
         raise DimensionError(f"interior search needs a square matrix, got {a.n_rows}x{a.n_cols}")
@@ -244,24 +261,21 @@ def _interior_search(
     if not 2 <= min_dim < n:
         raise InvalidInputError(f"min_dim must satisfy 2 <= min_dim < {n}, got {min_dim}")
     require_balanced(a, tol)
-    return _scan_interiors(a, tol, min_dim, contiguous)
+    return _scan_interiors(a, tol, min_dim)
 
 
 def find_balanced_interior(
-    a: Matrix,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    min_dim: int = 2,
-    contiguous: bool = True,
+    a: Matrix, tol: TolerancePolicy = DEFAULT_TOL, min_dim: int = 2
 ) -> InteriorMatch | None:
     """First balanced proper square interior of a balanced square matrix.
 
-    Scans largest dimension first, then lowest row index, then lowest column
-    index, so the result is deterministic. With contiguous=False the scan
-    covers arbitrary row/column index subsets (in lexicographic order) at
-    combinatorial cost; the default keeps the search polynomial.
+    An interior is a contiguous block of at least `min_dim` rows and as
+    many columns. The scan goes largest dimension first, then lowest row
+    index, then lowest column index, so the result is deterministic; it
+    visits at most (n - d + 1)^2 blocks of each dimension d.
 
     Returns None when no balanced interior exists at the given tolerance;
     such inputs are candidate counterexamples to the claim that every
     balanced matrix contains a balanced subsystem.
     """
-    return _interior_search(a, tol, min_dim, contiguous)[0]
+    return _interior_search(a, tol, min_dim)[0]

@@ -33,10 +33,10 @@ from balmat.core import (
 )
 from balmat.discrepancy import (
     _interior_search,
+    _interiors_balanced,
     discrepancy_report,
     fairness_propagation_check,
     fairness_transfer_check,
-    interior,
     one_fair_row_check,
 )
 from balmat.errors import (
@@ -569,24 +569,9 @@ def _check_interior_fair_corollary(ms, ctx):
     drep = discrepancy_report(a, ctx.fair_eps)
     if not (drep.fair_rows or drep.fair_cols):
         return None
-    max_abs = max(abs(e) for e in a.entries)
-    widened = TolerancePolicy(
-        ctx.tol.rtol,
-        ctx.tol.atol + 4.0 * ctx.fair_eps * max_abs * max(a.n_rows, a.n_cols),
-    )
-    ok = True
-    worst = 0.0
-    for r_count in range(2, a.n_rows + 1):
-        for c_count in range(2, a.n_cols + 1):
-            if r_count == a.n_rows and c_count == a.n_cols:
-                continue
-            for r0 in range(a.n_rows - r_count + 1):
-                for c0 in range(a.n_cols - c_count + 1):
-                    rep = classify_balance(interior(a, r0, r_count, c0, c_count), widened)
-                    if not rep.fully_balanced:
-                        ok = False
-                        if rep.max_defect > worst:
-                            worst = rep.max_defect
+    widening = 4.0 * ctx.fair_eps * max(abs(e) for e in a.entries) * max(a.n_rows, a.n_cols)
+    widened = TolerancePolicy(ctx.tol.rtol, ctx.tol.atol + widening)
+    ok, worst = _interiors_balanced(a, widened)
     return CheckRecord.verdict("interior_fair_corollary", ok, worst, widened.atol)
 
 

@@ -72,6 +72,9 @@ CASES = [
     ("interior_fair_corollary", dict(kind="constant", n=4, noise=0.01, seed=41), 50,
      dict(tol=TolerancePolicy(rtol=0.1, atol=1e-9))),
     ("interior_fair_corollary", dict(kind="hadamard_like", n=4, seed=42), 50, {}),
+    # Probes the check body: every trial of the case above is not applicable.
+    ("interior_fair_corollary", dict(kind="constant", n=6, noise=0.01, seed=48), 20,
+     dict(tol=TolerancePolicy(rtol=0.1, atol=1e-9))),
     ("det_homomorphism", dict(kind="symmetric2", seed=38), 200,
      dict(tol=TolerancePolicy(rtol=0.2, atol=1e-9))),
     ("det_homomorphism_n", dict(kind="constant", n=3, seed=39), 60,
@@ -106,7 +109,8 @@ def case_id(case) -> str:
 
 
 #: Taken on the code before the single-scan interior search and the
-#: raw-trail determinant, which left every hash unchanged.
+#: raw-trail determinant, which left every hash unchanged; the corollary's
+#: n=6 probe was taken on the code before the run-sum table.
 EXPECTED = {
     "closure_add-symmetric2-n2-s21": "f41585ea2754589c93066a6201bbd9d88e1cfcfa787ee9c160353cca28e02b64",
     "closure_add-perturbed-n2-s7": "9d1452539a22308afe2087bd9b1a2682235a0644e74ef2b1255784101929467f",
@@ -141,6 +145,7 @@ EXPECTED = {
     "edos-perturbed-n4-s40": "b958d7fabb1aa3a72477b89f8ea06bd7982f994b3d0fbd5b1ad0efe62642658b",
     "interior_fair_corollary-constant-n4-s41": "ac6c16c1fa820bf8d0203cc6fe49adab775c548f75ff00b826ad17b0adf1f31b",
     "interior_fair_corollary-hadamard_like-n4-s42": "15edc105bfe764bd935e72c7d53b350ecdbb100a17b944c2a2f0942ebc882c11",
+    "interior_fair_corollary-constant-n6-s48": "a39bf0a0328f2e11946e2e594e976d47875af03e74daccc5a9011398fae39651",
     "det_homomorphism-symmetric2-n2-s38": "4d52f7af85408103b99053a7ee81be713fa7d18403deadf2211f00b02f756b80",
     "det_homomorphism_n-constant-n3-s39": "aae2d660c17327a91d8c05f92455e2aba850285e89193f6df9b4ad5464bd9113",
     "det_homomorphism_n-constant-n5-s43": "bdd388545bc314deef04e709657e6231be746a8acabf72581b1df71cfe961d8e",

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from itertools import combinations
 
 from balmat.algebra import ElementaryOp
 from balmat.balance import balance_defect, classify_balance
-from balmat.core import Matrix
-from balmat.discrepancy import InteriorMatch, interior
+from balmat.core import CheckRecord, Matrix, TolerancePolicy
+from balmat.discrepancy import InteriorMatch, discrepancy_report, interior
 
 
 def canonical(obj):
@@ -141,23 +140,20 @@ def line_deviation_lists(rows):
     return row_devs, col_devs
 
 
-def interior_scan_reference(a: Matrix, tol, min_dim: int, contiguous: bool):
+def interior_scan_reference(a: Matrix, tol, min_dim: int):
     """(first balanced interior, lowest max defect) by building every block.
 
     Each block, in search order (largest dim, then rows, then columns), is
     built as a Matrix and classified by `classify_balance`. The defect is
     the lowest max(horizontal, vertical) defect among the blocks visited up
-    to the match. With no match in contiguous mode it comes from a second
-    pass that builds every block again through `interior()`, as the
-    interior-conjecture check did.
+    to the match. With no match it comes from a second pass that builds
+    every block again through `interior()`, as the interior-conjecture
+    check did.
     """
     n = a.n_rows
     best = math.inf
     for dim in range(n - 1, min_dim - 1, -1):
-        if contiguous:
-            index_sets = [tuple(range(s, s + dim)) for s in range(n - dim + 1)]
-        else:
-            index_sets = [tuple(c) for c in combinations(range(n), dim)]
+        index_sets = [tuple(range(s, s + dim)) for s in range(n - dim + 1)]
         for rows in index_sets:
             for cols in index_sets:
                 sub = Matrix(dim, dim, tuple(a.entries[i * n + j] for i in rows for j in cols))
@@ -166,8 +162,6 @@ def interior_scan_reference(a: Matrix, tol, min_dim: int, contiguous: bool):
                     best = report.max_defect
                 if report.fully_balanced:
                     return InteriorMatch(rows, cols, sub, report), best
-    if not contiguous:
-        return None, best
     best = math.inf
     for dim in range(n - 1, min_dim - 1, -1):
         for r in range(n - dim + 1):
@@ -177,6 +171,41 @@ def interior_scan_reference(a: Matrix, tol, min_dim: int, contiguous: bool):
                 if d < best:
                     best = d
     return None, best
+
+
+def corollary_reference(a: Matrix, tol, fair_eps: float) -> CheckRecord | None:
+    """The interior-fair-corollary check as first written, block by block.
+
+    Every contiguous block with at least two rows and two columns, other
+    than `a` itself, is built through `interior()` and classified by
+    `classify_balance` at the widened tolerance.
+    """
+    if min(a.n_rows, a.n_cols) < 3:
+        return None
+    if not classify_balance(a, tol).fully_balanced:
+        return None
+    drep = discrepancy_report(a, fair_eps)
+    if not (drep.fair_rows or drep.fair_cols):
+        return None
+    max_abs = max(abs(e) for e in a.entries)
+    widened = TolerancePolicy(
+        tol.rtol,
+        tol.atol + 4.0 * fair_eps * max_abs * max(a.n_rows, a.n_cols),
+    )
+    ok = True
+    worst = 0.0
+    for r_count in range(2, a.n_rows + 1):
+        for c_count in range(2, a.n_cols + 1):
+            if r_count == a.n_rows and c_count == a.n_cols:
+                continue
+            for r0 in range(a.n_rows - r_count + 1):
+                for c0 in range(a.n_cols - c_count + 1):
+                    rep = classify_balance(interior(a, r0, r_count, c0, c_count), widened)
+                    if not rep.fully_balanced:
+                        ok = False
+                        if rep.max_defect > worst:
+                            worst = rep.max_defect
+    return CheckRecord.verdict("interior_fair_corollary", ok, worst, widened.atol)
 
 
 # The balance kernels as they were before they looped over slices, kept

@@ -155,6 +155,8 @@ class TestMatrixEntries:
             ((1.0, "1,5"), "matrix entry '1,5' is not a real number"),
             ((None, 1.0), "matrix entry None is not a real number"),
             ((1.0, 1j), "matrix entry 1j is not a real number"),
+            ((10**400, 1.0), f"matrix entry {10**400!r} is not a real number"),
+            ((1.0, -(10**400)), f"matrix entry {-(10**400)!r} is not a real number"),
         ],
     )
     def test_bad_entries_raise_as_before(self, raw, message):

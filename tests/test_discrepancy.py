@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balmat import _kernels
 from balmat.algebra import transpose
 from balmat.balance import classify_balance
 from balmat.core import TolerancePolicy, constant_matrix, identity, matrix_from_rows
 from balmat.discrepancy import (
+    _interiors_balanced,
     _scan_interiors,
     discrepancy_report,
     fairness_propagation_check,
@@ -238,14 +240,6 @@ class TestFindBalancedInterior:
         assert match is not None
         assert classify_balance(match.matrix).fully_balanced
 
-    def test_non_contiguous_mode(self):
-        # diag(1,-1,1) style sign pattern: balanced, and index-subset search
-        # must agree with the contiguous one on an easy instance
-        m = matrix_from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        found = find_balanced_interior(m, min_dim=2, contiguous=False)
-        assert found is not None
-        assert classify_balance(found.matrix).fully_balanced
-
     def test_zero_blocks_never_match(self):
         # off-diagonal 2x2 blocks of the identity are all-zero and must not
         # count as balanced interiors
@@ -279,35 +273,44 @@ def _scan_case(seed):
 class TestScanInteriors:
     """The single-pass scan against the block-by-block reference, bit for bit."""
 
-    @pytest.mark.parametrize("contiguous", [True, False])
     @pytest.mark.parametrize("seed", range(48))
-    def test_matches_reference(self, seed, contiguous):
+    def test_matches_reference(self, seed):
         m, tol, min_dim = _scan_case(seed)
-        got = _scan_interiors(m, tol, min_dim, contiguous)
-        want = oracles.interior_scan_reference(m, tol, min_dim, contiguous)
+        got = _scan_interiors(m, tol, min_dim)
+        want = oracles.interior_scan_reference(m, tol, min_dim)
         assert oracles.canonical(got) == oracles.canonical(want)
 
+    def test_work_is_quadratic_per_dimension(self, monkeypatch):
+        # Each d x d block's row and column defects, for every d, and no more.
+        calls = [0]
+        original = _kernels.spread_defect
+
+        def counted(sums):
+            calls[0] += 1
+            return original(sums)
+
+        monkeypatch.setattr(_kernels, "spread_defect", counted)
+        n, min_dim = 10, 2
+        m = generate(GenSpec(kind="scaled_orthogonal", n=n, seed=5))
+        assert _scan_interiors(m, TolerancePolicy(), min_dim)[0] is None
+        assert calls[0] == 2 * sum((n - d + 1) ** 2 for d in range(min_dim, n))
+
     def test_reference_cases_include_matches_and_misses(self):
-        found = [
-            _scan_interiors(*_scan_case(seed), contiguous)[0] is not None
-            for seed in range(48)
-            for contiguous in (True, False)
-        ]
+        found = [_scan_interiors(*_scan_case(seed))[0] is not None for seed in range(48)]
         assert any(found) and not all(found)
 
-    @pytest.mark.parametrize("contiguous", [True, False])
-    def test_tiny_entries_match_but_zero_blocks_do_not(self, contiguous):
+    def test_tiny_entries_match_but_zero_blocks_do_not(self):
         # 1e-200 squares to 0.0, so the tiny block's square sums are all
         # zero like the zero block's; only the entries tell them apart
         t = 1e-200
         m = matrix_from_rows([[0, 0, t, 5], [0, 0, t, 7], [1, 2, 3, 4], [9, 8, 6, 2]])
         tol = TolerancePolicy()
-        got = _scan_interiors(m, tol, 2, contiguous)
-        want = oracles.interior_scan_reference(m, tol, 2, contiguous)
+        got = _scan_interiors(m, tol, 2)
+        want = oracles.interior_scan_reference(m, tol, 2)
         assert oracles.canonical(got) == oracles.canonical(want)
         match, best = got
         assert match is not None and match.rows == (0, 1)
-        assert match.cols == ((1, 2) if contiguous else (0, 2))
+        assert match.cols == (1, 2)
         assert match.report.row_square_sums == (0.0, 0.0)
         assert best == 0.0  # the zero block came first and has no defect
 
@@ -328,6 +331,118 @@ class TestInteriorConjectureCheck:
     def test_violation_reports_the_best_block(self):
         m = generate(GenSpec(kind="scaled_orthogonal", n=5, seed=3))
         rec = replay_counterexample("interior_conjecture", (m,))
-        _, want = oracles.interior_scan_reference(m, TolerancePolicy(), 2, True)
+        _, want = oracles.interior_scan_reference(m, TolerancePolicy(), 2)
         assert not rec.holds
         assert rec.lhs == rec.slack == want
+
+
+def _corollary_case(seed):
+    """A seeded matrix, tolerance and fair_eps for the interior-fair corollary.
+
+    Square and rectangular shapes (3..6 x 3..6) in four families: fair
+    near-constant entries; sign patterns, constant along rows or columns or
+    free; a constant matrix with one block of 0.0 entries, 1e-200 entries
+    or a mix of both; and loose random entries, some zero or negative.
+    """
+    rng = random.Random(seed)
+    n, m = rng.randint(3, 6), rng.randint(3, 6)
+    family = seed % 4
+    if family == 0:
+        c = rng.uniform(1.0, 3.0)
+        rows = [[c + rng.uniform(-0.01, 0.01) for _ in range(m)] for _ in range(n)]
+        return matrix_from_rows(rows), TolerancePolicy(rtol=0.1, atol=1e-9), 0.1
+    if family == 1:
+        s = rng.uniform(0.5, 2.0)
+        rows = [[rng.choice((-s, s)) for _ in range(m)] for _ in range(n)]
+        if seed // 4 % 3 == 0:  # constant along rows
+            rows = [[r[0]] * m for r in rows]
+        elif seed // 4 % 3 == 1:  # constant along columns
+            rows = [list(rows[0]) for _ in range(n)]
+        return matrix_from_rows(rows), TolerancePolicy(), rng.choice((0.01, 2.5 * s))
+    if family == 2:
+        c = rng.uniform(1.0, 3.0)
+        r_count, c_count = rng.randint(2, n - 1), rng.randint(2, m - 1)
+        r0, c0 = rng.randint(0, n - r_count), rng.randint(0, m - c_count)
+        fill = ((0.0,), (1e-200,), (0.0, 1e-200))[seed // 4 % 3]
+        rows = [[c] * m for _ in range(n)]
+        for i in range(r0, r0 + r_count):
+            for j in range(c0, c0 + c_count):
+                rows[i][j] = rng.choice(fill)
+        return matrix_from_rows(rows), TolerancePolicy(rtol=0.9, atol=1e-9), c
+    pool = [0.0, -1.0] + [rng.uniform(0.5, 1.5) for _ in range(6)]
+    rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+    return matrix_from_rows(rows), TolerancePolicy(rtol=0.9, atol=1e-9), 1.0
+
+
+class TestInteriorFairCorollaryCheck:
+    """The corollary's check against the block-by-block reference, bit for bit."""
+
+    @staticmethod
+    def replay(m, tol, fair_eps):
+        return replay_counterexample("interior_fair_corollary", (m,), tol, fair_eps)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_reference(self, seed):
+        m, tol, fair_eps = _corollary_case(seed)
+        got = self.replay(m, tol, fair_eps)
+        want = oracles.corollary_reference(m, tol, fair_eps)
+        assert oracles.canonical(got) == oracles.canonical(want)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_blocks_match_classify_balance(self, seed):
+        # Unwidened tolerances, so that non-zero blocks fail too and the
+        # worst defect is pinned, not only the zero rule.
+        m, case_tol, _ = _corollary_case(seed)
+        n, k = m.shape
+        blocks = [
+            interior(m, r0, r_count, c0, c_count)
+            for r_count in range(2, n + 1)
+            for c_count in range(2, k + 1)
+            if (r_count, c_count) != (n, k)
+            for r0 in range(n - r_count + 1)
+            for c0 in range(k - c_count + 1)
+        ]
+        for tol in (case_tol, TolerancePolicy()):
+            reports = [classify_balance(b, tol) for b in blocks]
+            unbalanced = [r.max_defect for r in reports if not r.fully_balanced]
+            want = (not unbalanced, max(unbalanced, default=0.0))
+            assert oracles.canonical(_interiors_balanced(m, tol)) == oracles.canonical(want)
+
+    def test_reference_cases_reach_every_outcome(self):
+        outcomes = set()
+        for seed in range(48):
+            rec = oracles.corollary_reference(*_corollary_case(seed))
+            outcomes.add(None if rec is None else rec.holds)
+        assert outcomes == {None, True, False}
+
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [
+            ([[0, 0, 1], [0, 0, 1], [1, 1, 1]], 12.000000001),
+            ([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]], 16.000000001),
+        ],
+    )
+    def test_zero_block_is_a_violation(self, rows, rhs):
+        # The top-left 2x2 block is zero, and a zero matrix is never
+        # balanced; its defect is 0.0, so the violation reports lhs 0.0.
+        m = matrix_from_rows(rows)
+        tol = TolerancePolicy(rtol=0.9, atol=1e-9)
+        rec = self.replay(m, tol, 1.0)
+        assert (rec.holds, rec.lhs, rec.rhs, rec.slack) == (False, 0.0, rhs, 1.0)
+        assert oracles.canonical(rec) == oracles.canonical(oracles.corollary_reference(m, tol, 1.0))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e-200, 1e-200, 1], [1e-200, 1e-200, 1], [1, 1, 1]],
+            [[1e-200, 1e-200, 1, 1], [1e-200, 1e-200, 1, 1], [1, 1, 1, 1]],
+        ],
+    )
+    def test_tiny_block_is_balanced(self, rows):
+        # 1e-200 squares to 0.0, so the block's square sums are those of
+        # the zero block above; only its entries tell it apart.
+        m = matrix_from_rows(rows)
+        tol = TolerancePolicy(rtol=0.9, atol=1e-9)
+        rec = self.replay(m, tol, 1.0)
+        assert rec.holds
+        assert oracles.canonical(rec) == oracles.canonical(oracles.corollary_reference(m, tol, 1.0))

@@ -424,6 +424,20 @@ class TestWorkPerTrial:
         assert rep.trials == 40
         assert built[0] == 40
 
+    def test_corollary_classifies_the_input_once(self, monkeypatch):
+        # The blocks are checked from one table of run square sums: no
+        # block is built as a Matrix or summed by `classify_balance`.
+        built = self.count_calls(monkeypatch, Matrix, "__post_init__")
+        square_sums = self.count_calls(monkeypatch, _kernels, "row_square_sums")
+        rep = fuzz_campaign(
+            "interior_fair_corollary",
+            GenSpec(kind="constant", n=6, noise=0.01, seed=48),
+            10,
+            tol=TolerancePolicy(rtol=0.1, atol=1e-9),
+        )
+        assert rep.passes == 10
+        assert built[0] == square_sums[0] == 10
+
     @pytest.mark.parametrize("name", ["estimator_exact", "estimator_scaling"])
     def test_replay_returns_the_record(self, name):
         m = generate(GenSpec(kind="symmetric2", seed=7))
