@@ -271,9 +271,14 @@ def _scan_case(seed):
 
 
 class TestScanInteriors:
-    """The single-pass scan against the block-by-block reference, bit for bit."""
+    """The single-pass scan against the block-by-block reference, bit for bit.
 
-    @pytest.mark.parametrize("seed", range(48))
+    Interiors are contiguous blocks. The "True" in the case ids is the
+    contiguous flag these cases carried while an index-subset search also
+    existed; it is kept so the ids stay stable.
+    """
+
+    @pytest.mark.parametrize("seed", range(48), ids=lambda seed: f"{seed}-True")
     def test_matches_reference(self, seed):
         m, tol, min_dim = _scan_case(seed)
         got = _scan_interiors(m, tol, min_dim)
@@ -299,14 +304,15 @@ class TestScanInteriors:
         found = [_scan_interiors(*_scan_case(seed))[0] is not None for seed in range(48)]
         assert any(found) and not all(found)
 
-    def test_tiny_entries_match_but_zero_blocks_do_not(self):
+    @pytest.mark.parametrize("min_dim", [2], ids=["True"])
+    def test_tiny_entries_match_but_zero_blocks_do_not(self, min_dim):
         # 1e-200 squares to 0.0, so the tiny block's square sums are all
         # zero like the zero block's; only the entries tell them apart
         t = 1e-200
         m = matrix_from_rows([[0, 0, t, 5], [0, 0, t, 7], [1, 2, 3, 4], [9, 8, 6, 2]])
         tol = TolerancePolicy()
-        got = _scan_interiors(m, tol, 2)
-        want = oracles.interior_scan_reference(m, tol, 2)
+        got = _scan_interiors(m, tol, min_dim)
+        want = oracles.interior_scan_reference(m, tol, min_dim)
         assert oracles.canonical(got) == oracles.canonical(want)
         match, best = got
         assert match is not None and match.rows == (0, 1)
