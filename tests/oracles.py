@@ -305,7 +305,8 @@ def line_stats(entries, n, m):
 # The random orthogonal generator as it was before its Gaussian draws were
 # inlined and its dead stores dropped, kept verbatim: `rng.gauss` draws, the
 # full Householder update of the sample and of Q, Q started at the identity.
-# `balmat.genfuzz._random_orthogonal` must agree with it bit for bit.
+# `balmat.genfuzz._scaled_orthogonal` with s = 1.0 must agree with it bit for
+# bit.
 
 
 def _sum_squares(xs) -> float:

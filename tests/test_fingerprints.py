@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import balmat
+from balmat import genfuzz
 from balmat.genfuzz import PROPERTIES
 
 from fingerprint_cases import CASES, EXPECTED, case_id, fingerprint, run_case
@@ -38,18 +39,21 @@ def test_fingerprint_sees_one_bit():
 
 def test_no_version_dependent_summation():
     # Since Python 3.12 builtin sum() adds floats with compensated summation,
-    # so it rounds differently from 3.11 and would change fingerprints.
+    # so it rounds differently from 3.11 and would change fingerprints. The
+    # generated Householder kernels are checked with the files.
+    sources = [(path.name, path.read_text()) for path in sorted(Path(balmat.__file__).parent.glob("*.py"))]
+    sources += [(f"<householder_{n}>", genfuzz._householder_source(n)) for n in range(2, genfuzz._KERNEL_MAX_N + 1)]
     found = []
-    for path in sorted(Path(balmat.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, source in sources:
+        for node in ast.walk(ast.parse(source, name)):
             if isinstance(node, ast.Call):
                 f = node.func
                 if isinstance(f, ast.Name) and f.id in ("sum", "fsum"):
-                    found.append(f"{path.name}:{node.lineno}: {f.id}()")
+                    found.append(f"{name}:{node.lineno}: {f.id}()")
                 elif isinstance(f, ast.Attribute) and f.attr == "fsum":
-                    found.append(f"{path.name}:{node.lineno}: fsum()")
+                    found.append(f"{name}:{node.lineno}: fsum()")
             elif isinstance(node, ast.Import) and any(a.name == "statistics" for a in node.names):
-                found.append(f"{path.name}:{node.lineno}: import statistics")
+                found.append(f"{name}:{node.lineno}: import statistics")
             elif isinstance(node, ast.ImportFrom) and node.module == "statistics":
-                found.append(f"{path.name}:{node.lineno}: from statistics import")
+                found.append(f"{name}:{node.lineno}: from statistics import")
     assert found == []

@@ -11,12 +11,16 @@ from balmat.errors import ConfigurationError, UnsupportedDimensionError
 from balmat.genfuzz import (
     DEFECT_FLOOR,
     PROPERTIES,
+    _KERNEL_MAX_N,
     FuzzReport,
     GenSpec,
+    _build_scaled_orthogonal,
     _gaussians,
     _generate_with,
+    _householder_kernel,
+    _householder_source,
     _mix,
-    _random_orthogonal,
+    _scaled_orthogonal,
     fuzz_campaign,
     generate,
     replay_counterexample,
@@ -43,6 +47,16 @@ class TestGenSpec:
     def test_negative_noise(self):
         with pytest.raises(ConfigurationError):
             GenSpec(kind="constant", noise=-0.1)
+
+    @pytest.mark.parametrize("n", [3.0, True, "3", None])
+    def test_dimension_must_be_an_int(self, n):
+        with pytest.raises(ConfigurationError, match="n must be an integer"):
+            GenSpec(kind="scaled_orthogonal", n=n)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "7"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            GenSpec(kind="constant", seed=seed)
 
 
 class TestGenerate:
@@ -107,8 +121,16 @@ class TestGenerate:
         assert clean != noisy
 
 
-def hexes(rows):
-    return [[v.hex() for v in row] for row in rows]
+#: Both sides of the bound on compiled Householder kernels.
+ORTHOGONAL_DIMS = list(range(1, _KERNEL_MAX_N + 3))
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def flat(rows):
+    return [v for row in rows for v in row]
 
 
 def rng_pair(seed, pending):
@@ -158,14 +180,14 @@ class TestGaussianDraws:
             assert repr(got_rng.gauss_next) == repr(want_rng.gauss_next)
 
     @pytest.mark.parametrize("pending", [False, True])
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", ORTHOGONAL_DIMS)
     def test_random_orthogonal_matches_the_householder_oracle(self, n, pending):
         for seed in range(40):
             want_rng, got_rng = rng_pair(seed, pending)
-            assert hexes(_random_orthogonal(got_rng, n)) == hexes(oracles.random_orthogonal(want_rng, n))
+            assert hexes(_scaled_orthogonal(got_rng, n, 1.0)) == hexes(flat(oracles.random_orthogonal(want_rng, n)))
             assert got_rng.getstate() == want_rng.getstate()
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", ORTHOGONAL_DIMS[1:])
     def test_random_orthogonal_with_zero_columns(self, n):
         # A zero column k makes step k see norm == 0.0 and skip; with
         # column 0 zero, Q is first built at a later step, and with every
@@ -177,10 +199,47 @@ class TestGaussianDraws:
             script = zero_column_script(n, zero_cols, seed=100 * n + trial)
             sample = _gaussians(ScriptedRandom(script), n * n)
             assert all(sample[i * n + j] == 0.0 for i in range(n) for j in zero_cols)
-            got = hexes(_random_orthogonal(ScriptedRandom(script), n))
-            assert got == hexes(oracles.random_orthogonal(ScriptedRandom(script), n))
+            got = hexes(_scaled_orthogonal(ScriptedRandom(script), n, 1.0))
+            assert got == hexes(flat(oracles.random_orthogonal(ScriptedRandom(script), n)))
             if len(zero_cols) == n:
-                assert got == hexes([[float(i == j) for j in range(n)] for i in range(n)])
+                assert got == hexes(float(i == j) for i in range(n) for j in range(n))
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("n", ORTHOGONAL_DIMS)
+    def test_scaled_orthogonal_builder_matches_the_oracle(self, n, pending):
+        # s*Q with the sign fix folded into the scale: signed zeros included
+        spec = GenSpec(kind="scaled_orthogonal", n=n, entry_low=1.0, entry_high=50.0)
+        for seed in range(20):
+            want_rng, got_rng = rng_pair(seed, pending)
+            s = want_rng.uniform(spec.entry_low, spec.entry_high)
+            want = [s * v for v in flat(oracles.random_orthogonal(want_rng, n))]
+            assert hexes(_build_scaled_orthogonal(got_rng, spec)) == hexes(want)
+            assert got_rng.getstate() == want_rng.getstate()
+            assert repr(got_rng.gauss_next) == repr(want_rng.gauss_next)
+
+
+class TestHouseholderKernel:
+    def test_each_dimension_compiles_once(self):
+        def draw_every_dimension():
+            for n in ORTHOGONAL_DIMS:
+                _scaled_orthogonal(random.Random(n), n, 1.0)
+
+        draw_every_dimension()
+        info = _householder_kernel.cache_info()
+        # one entry per n in 2.._KERNEL_MAX_N; n = 1 and larger n run no kernel
+        assert info.currsize <= _KERNEL_MAX_N - 1
+        draw_every_dimension()
+        assert _householder_kernel.cache_info().misses == info.misses
+
+    def test_larger_dimensions_run_the_loop(self):
+        before = _householder_kernel.cache_info()
+        for n in (_KERNEL_MAX_N + 1, _KERNEL_MAX_N + 2):
+            _scaled_orthogonal(random.Random(n), n, 1.0)
+        assert _householder_kernel.cache_info() == before
+
+    def test_source_grows_quadratically(self):
+        # a full O(n³) unroll would grow eightfold from n = 8 to n = 16
+        assert len(_householder_source(16)) < 4 * len(_householder_source(8))
 
 
 class TestCampaigns:

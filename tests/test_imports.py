@@ -1,7 +1,9 @@
 """What a cold start imports: `import balmat` is lazy (PEP 562), and a file
 command loads only the modules it runs."""
 
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import balmat
-from balmat import genfuzz
+from balmat import cli, genfuzz
 
 FILE_COMMANDS = ("check", "spectrum", "quadform", "discrepancy", "det", "interior")
 
@@ -57,6 +59,18 @@ def test_fuzz_command_still_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert '"passes": 3' in proc.stdout
     assert "balmat.genfuzz" in _imported(proc.stderr)
+    # symmetric2 draws no orthogonal matrix, so no Householder kernel is compiled or looked up
+    before = genfuzz._householder_kernel.cache_info()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert genfuzz._householder_kernel.cache_info() == before
+
+
+def test_import_genfuzz_compiles_no_kernel(tmp_path):
+    code = "import balmat.genfuzz as g; print(g._householder_kernel.cache_info().currsize)"
+    proc = _child(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_every_public_name_is_its_submodules_object():
