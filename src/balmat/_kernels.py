@@ -113,9 +113,10 @@ def rref(entries, n, m, pivot_tol, forward_only=False):
 
     Partial pivoting: the largest-magnitude candidate in each column is
     swapped into pivot position; candidates at or below `pivot_tol` are
-    treated as zero. Pivot entries are forced to exactly 1.0 and eliminated
-    entries to exactly 0.0. Returns (reduced_entries, trail, rank) where the
-    trail is a list of (op_code, i, j, factor) tuples.
+    treated as zero. Pivot entries are forced to exactly 1.0, and eliminated
+    entries and the candidates of a column without a pivot to exactly 0.0.
+    Returns (reduced_entries, trail, rank) where the trail is a list of
+    (op_code, i, j, factor) tuples.
 
     With `forward_only` set, rows above each pivot are left as they are, so
     the result is a row echelon form with unit pivots. A row is complete by
@@ -136,6 +137,10 @@ def rref(entries, n, m, pivot_tol, forward_only=False):
                 best = i
                 best_abs = v
         if best_abs <= pivot_tol:
+            # Store them as zero, so that scaling a later pivot row cannot
+            # lift a residue above pivot_tol.
+            for i in range(pivot_row, n):
+                r[i * m + col] = 0.0
             continue
         if best != pivot_row:
             a_base = pivot_row * m

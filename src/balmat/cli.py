@@ -6,8 +6,9 @@ the report is written (`balmat ... | head`), 2 for unexpected internal
 errors. Hypothesis failures are ordinary outcomes when probing arbitrary
 matrices, so they exit with a clear message rather than a traceback.
 
-Handlers read the parsed `argparse.Namespace` directly: the parser is the
-one place that names and defaults each setting.
+`_COMMANDS` is the one place that names each command and its arguments: the
+parser, the dispatch in `run` and the settings echoed under "params" all come
+from it. Handlers read the parsed `argparse.Namespace` directly.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ from balmat.errors import BalmatError, HypothesisError, ParseError
 if TYPE_CHECKING:
     from balmat.discrepancy import DiscrepancyReport
     from balmat.genfuzz import FuzzReport
-
-COMMANDS = ("check", "spectrum", "quadform", "discrepancy", "det", "interior", "fuzz")
-
-#: Settings echoed under "params", in output order: every command's, then the
-#: extra ones of `interior` and of `fuzz`. Each is a parsed option's dest.
-_PARAM_KEYS = ("rtol", "atol", "fair_eps", "unfair_theta", "pivot_tol")
-_EXTRA_PARAM_KEYS = {
-    "interior": ("min_dim",),
-    "fuzz": ("property", "kind", "n", "trials", "noise", "seed", "entry_low", "entry_high"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +134,6 @@ def render_json(obj, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_dict(a: Matrix):
-    return a.to_rows()
-
-
 def _record_dict(rec: CheckRecord) -> dict:
     return {"name": rec.name, "holds": rec.holds, "lhs": rec.lhs, "rhs": rec.rhs, "slack": rec.slack}
 
@@ -189,7 +176,7 @@ def _fuzz_dict(rep: FuzzReport) -> dict:
         "worst_slack": rep.worst_slack,
         "seed": rep.seed,
         "counterexamples": [
-            {"matrices": [_matrix_dict(m) for m in cex.matrices], "record": _record_dict(cex.record)}
+            {"matrices": [m.to_rows() for m in cex.matrices], "record": _record_dict(cex.record)}
             for cex in rep.counterexamples
         ],
         "defect_error_pairs": [[d, e] for d, e in rep.defect_error_pairs],
@@ -293,7 +280,7 @@ def _cmd_interior(ns: argparse.Namespace, a: Matrix) -> dict:
         "found": True,
         "rows": list(match.rows),
         "cols": list(match.cols),
-        "matrix": _matrix_dict(match.matrix),
+        "matrix": match.matrix.to_rows(),
         "report": _balance_dict(match.report),
     }
 
@@ -364,6 +351,59 @@ def _scalar_text(v) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Command table
+# ---------------------------------------------------------------------------
+
+
+def _arg(*flags, **options):
+    """One argument of a command, as `add_argument` takes it."""
+    return flags, options
+
+
+_COMMON_ARGS = (
+    _arg("--rtol", type=float, default=1e-6, help="relative tolerance (default 1e-6)"),
+    _arg("--atol", type=float, default=1e-9, help="absolute tolerance (default 1e-9)"),
+    _arg("--fair-eps", type=float, default=0.1, help="fairness threshold (default 0.1)"),
+    _arg("--theta", dest="unfair_theta", metavar="THETA", type=float, default=1.0,
+         help="unfairness threshold (default 1.0)"),
+    _arg("--pivot-tol", type=float, default=1e-10,
+         help="elimination pivot threshold (default 1e-10)"),
+    _arg("--format", choices=("text", "json"), default="text", help="output format (default text)"),
+)  # fmt: skip
+_INPUT = _arg("input", help="CSV matrix file (one comma-separated row per line)")
+_MIN_DIM = _arg("--min-dim", type=int, default=2, help="smallest interior dimension (default 2)")
+_FUZZ_ARGS = (
+    _arg("--property", required=True, help="registered property name"),
+    _arg("--kind", required=True, choices=GENERATOR_KINDS, help="generator family"),
+    _arg("--n", type=int, default=2, help="matrix dimension (default 2)"),
+    _arg("--trials", type=int, default=100, help="number of trials (default 100)"),
+    _arg("--noise", type=float, default=0.0, help="entrywise noise radius (default 0)"),
+    _arg("--seed", type=int, default=0, help="campaign seed (default 0)"),
+    _arg("--entry-low", type=float, default=1.0, help="entry range low (default 1)"),
+    _arg("--entry-high", type=float, default=100.0, help="entry range high (default 100)"),
+    _MIN_DIM,
+)
+
+#: Every command, in --help order: name -> (help, handler, its own arguments
+#: after the common ones). A command with an `input` argument reads that CSV
+#: and passes the matrix to its handler.
+_COMMANDS = {
+    "check": ("classify balance and report defect metrics", _cmd_check, (_INPUT,)),
+    "spectrum": ("exact 2x2 eigenvalues vs entry-sum estimates", _cmd_spectrum, (_INPUT,)),
+    "quadform": ("spectrum-only quadratic form prediction vs direct evaluation",
+                 _cmd_quadform, (_INPUT,)),
+    "discrepancy": ("row/column discrepancy report and fairness checks",
+                    _cmd_discrepancy, (_INPUT,)),
+    "det": ("determinant via the elementary-operation trail", _cmd_det, (_INPUT,)),
+    "interior": ("search for a balanced interior submatrix", _cmd_interior, (_INPUT, _MIN_DIM)),
+    "fuzz": ("run a randomized theorem/conjecture campaign", _cmd_fuzz, _FUZZ_ARGS),
+}  # fmt: skip
+
+#: Parsed names that are not settings: every other one is echoed under "params".
+_NOT_PARAMS = ("backend_info", "command", "input", "format")
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -372,21 +412,14 @@ def run(ns: argparse.Namespace, out=None, err=None) -> int:
     """Execute one parsed CLI invocation; returns the process exit status."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    _, handler, _ = _COMMANDS[ns.command]
     input_path = getattr(ns, "input", None)  # `fuzz` reads no file
     try:
-        if ns.command == "fuzz":
-            result = _cmd_fuzz(ns)
+        if input_path is None:
+            result = handler(ns)
         else:
             with open(input_path, "r", encoding="utf-8") as fh:
                 a = parse_matrix_csv(fh.read())
-            handler = {
-                "check": _cmd_check,
-                "spectrum": _cmd_spectrum,
-                "quadform": _cmd_quadform,
-                "discrepancy": _cmd_discrepancy,
-                "det": _cmd_det,
-                "interior": _cmd_interior,
-            }[ns.command]
             result = handler(ns, a)
     except (BalmatError, OSError) as exc:
         print(f"balmat {ns.command}: error: {exc}", file=err)
@@ -397,11 +430,10 @@ def run(ns: argparse.Namespace, out=None, err=None) -> int:
         print(f"balmat {ns.command}: internal error", file=err)
         traceback.print_exc(file=err)
         return 2
-    keys = _PARAM_KEYS + _EXTRA_PARAM_KEYS.get(ns.command, ())
     document = {
         "command": ns.command,
         "input": input_path,
-        "params": {key: getattr(ns, key) for key in keys},
+        "params": {key: value for key, value in vars(ns).items() if key not in _NOT_PARAMS},
         "result": result,
     }
     text = render_json(document) if ns.format == "json" else "\n".join(_render_text(document))
@@ -429,61 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the kernel backend (always python) and exit",
     )
     sub = parser.add_subparsers(dest="command")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rtol", type=float, default=1e-6, help="relative tolerance (default 1e-6)")
-    common.add_argument("--atol", type=float, default=1e-9, help="absolute tolerance (default 1e-9)")
-    common.add_argument("--fair-eps", type=float, default=0.1, help="fairness threshold (default 0.1)")
-    common.add_argument(
-        "--theta",
-        dest="unfair_theta",
-        metavar="THETA",
-        type=float,
-        default=1.0,
-        help="unfairness threshold (default 1.0)",
-    )
-    common.add_argument(
-        "--pivot-tol", type=float, default=1e-10, help="elimination pivot threshold (default 1e-10)"
-    )
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format (default text)"
-    )
-
-    file_cmds = {
-        "check": "classify balance and report defect metrics",
-        "spectrum": "exact 2x2 eigenvalues vs entry-sum estimates",
-        "quadform": "spectrum-only quadratic form prediction vs direct evaluation",
-        "discrepancy": "row/column discrepancy report and fairness checks",
-        "det": "determinant via the elementary-operation trail",
-        "interior": "search for a balanced interior submatrix",
-    }
-    for name, help_text in file_cmds.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("input", help="CSV matrix file (one comma-separated row per line)")
-        if name == "interior":
-            p.add_argument(
-                "--min-dim", type=int, default=2, help="smallest interior dimension (default 2)"
-            )
-
-    fuzz = sub.add_parser(
-        "fuzz", parents=[common], help="run a randomized theorem/conjecture campaign"
-    )
-    fuzz.add_argument("--property", required=True, help="registered property name")
-    fuzz.add_argument(
-        "--kind",
-        required=True,
-        choices=GENERATOR_KINDS,
-        help="generator family",
-    )
-    fuzz.add_argument("--n", type=int, default=2, help="matrix dimension (default 2)")
-    fuzz.add_argument("--trials", type=int, default=100, help="number of trials (default 100)")
-    fuzz.add_argument("--noise", type=float, default=0.0, help="entrywise noise radius (default 0)")
-    fuzz.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    fuzz.add_argument("--entry-low", type=float, default=1.0, help="entry range low (default 1)")
-    fuzz.add_argument("--entry-high", type=float, default=100.0, help="entry range high (default 100)")
-    fuzz.add_argument(
-        "--min-dim", type=int, default=2, help="smallest interior dimension (default 2)"
-    )
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in _COMMON_ARGS + arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,16 +79,21 @@ class GenSpec:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigurationError(f"dimension must be at least 1, got {self.n}")
-        if not (math.isfinite(self.entry_low) and math.isfinite(self.entry_high)):
-            raise ConfigurationError("entry bounds must be finite")
+        for name in ("entry_low", "entry_high", "noise"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(f"{name} must be an int or a float, got {value!r}")
+            # False for nan, the infinities and ints outside the float range.
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.entry_low < 1.0:
             raise ConfigurationError(f"entry_low must be at least 1, got {self.entry_low}")
         if self.entry_low > self.entry_high:
             raise ConfigurationError(
                 f"entry_low ({self.entry_low}) must not exceed entry_high ({self.entry_high})"
             )
-        if not (math.isfinite(self.noise) and self.noise >= 0.0):
-            raise ConfigurationError(f"noise must be finite and non-negative, got {self.noise}")
+        if self.noise < 0.0:
+            raise ConfigurationError(f"noise must be non-negative, got {self.noise}")
         if not 0 <= self.seed <= _MASK64:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 

@@ -6,6 +6,7 @@ lines. Every tolerance here is pinned; none are calibrated at runtime.
 
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -315,6 +316,14 @@ GOLDEN_INVOCATIONS = [
         ],
     ),
 ]
+
+
+def test_readme_examples_are_the_golden_files():
+    # The README's three JSON examples are the documented CLI contract.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"^```json\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    names = ("golden_check.json", "golden_spectrum.json", "golden_fuzz.json")
+    assert examples == [(DATA_DIR / name).read_text(encoding="utf-8") for name in names]
 
 
 def test_criterion_8_cli_contract(tmp_path):

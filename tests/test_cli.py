@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -29,6 +30,12 @@ def run_cli(argv, cwd_file_content=None):
     out, err = io.StringIO(), io.StringIO()
     code = run(ns, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def _subparsers():
+    """The sub-parser of each command, by name, in --help order."""
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 @pytest.fixture
@@ -240,7 +247,8 @@ class TestCommands:
             raise RuntimeError("kaboom")
 
         ns = build_parser().parse_args(["check", csv_file])
-        monkeypatch.setattr(cli_mod, "_cmd_check", boom)
+        help_text, _, arguments = cli_mod._COMMANDS["check"]
+        monkeypatch.setitem(cli_mod._COMMANDS, "check", (help_text, boom, arguments))
         out, err = io.StringIO(), io.StringIO()
         assert cli_mod.run(ns, out=out, err=err) == 2
         assert "internal error" in err.getvalue()
@@ -338,22 +346,42 @@ class TestParams:
         assert doc["result"]["not_applicable"] == expected.not_applicable
         assert doc["result"]["worst_slack"] == expected.worst_slack
 
-    def test_min_dim_listed_by_interior_only(self, tmp_path):
-        p = tmp_path / "id4.csv"
-        p.write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
-        code, out, err = run_cli(["interior", str(p), "--min-dim", "3", "--format", "json"])
+    def test_params_reproduce_the_report(self):
+        # At --min-dim 2 this campaign gives 9 passes and 11 violations, at 4
+        # it gives 8 and 12: a report must echo min_dim to be reproducible.
+        argv = ["fuzz", "--property", "interior_conjecture", "--kind", "perturbed"]
+        argv += ["--noise", "0.01", "--rtol", "0.1", "--n", "5", "--trials", "20", "--format", "json"]
+        code, out, err = run_cli(argv + ["--min-dim", "4"])
         assert code == 0, err
-        assert json.loads(out)["params"]["min_dim"] == 3
-        _, out, _ = run_cli(
-            ["fuzz", "--property", "closure_add", "--kind", "symmetric2", "--trials", "2",
-             "--min-dim", "3", "--format", "json"]
-        )  # fmt: skip
+        doc = json.loads(out)
+        assert doc["params"]["min_dim"] == 4
+        assert json.loads(run_cli(argv)[1])["result"] != doc["result"]
+        flags = {a.dest: a.option_strings[0] for a in _subparsers()["fuzz"]._actions}
+        replay = ["fuzz", "--format", "json"]
+        for key, value in doc["params"].items():
+            replay += [flags[key], str(value)]
+        code, out, err = run_cli(replay)
+        assert code == 0, err
+        assert json.loads(out) == doc
+
+    @pytest.mark.parametrize("command", list(_subparsers()))
+    def test_params_are_every_setting(self, tmp_path, command):
+        parser = _subparsers()[command]
+        dests = [a.dest for a in parser._actions if a.dest != "help"]
+        if "input" in dests:
+            p = tmp_path / "m.csv"  # an interior of dimension 3 needs a 4x4
+            id4 = "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n"
+            p.write_text(id4 if command == "interior" else "2,1\n1,2\n")
+            argv = [command, str(p)]
+        else:
+            argv = [command, "--property", "closure_add", "--kind", "symmetric2", "--trials", "2"]
+        if "min_dim" in dests:
+            argv += ["--min-dim", "3"]
+        code, out, err = run_cli(argv + ["--format", "json"])
+        assert code == 0, err
         params = json.loads(out)["params"]
-        assert "min_dim" not in params
-        assert list(params) == [
-            "rtol", "atol", "fair_eps", "unfair_theta", "pivot_tol",
-            "property", "kind", "n", "trials", "noise", "seed", "entry_low", "entry_high",
-        ]  # fmt: skip
+        assert list(params) == [d for d in dests if d not in ("format", "input")]
+        assert params.get("min_dim", 3) == 3
 
     @pytest.mark.parametrize("command", ["det", "quadform"])
     def test_invalid_rtol_echoed_where_unused(self, csv_file, command):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -57,6 +58,25 @@ class TestGenSpec:
     def test_seed_must_be_an_int(self, seed):
         with pytest.raises(ConfigurationError, match="seed must be an integer"):
             GenSpec(kind="constant", seed=seed)
+
+    @pytest.mark.parametrize("name", ["entry_low", "entry_high", "noise"])
+    @pytest.mark.parametrize("value", [True, False, "2", "0.1", None])
+    def test_float_fields_must_be_numbers(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an int or a float"):
+            GenSpec(kind="constant", **{name: value})
+
+    @pytest.mark.parametrize("name", ["entry_low", "entry_high", "noise"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
+    def test_float_fields_must_be_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            GenSpec(kind="constant", **{name: value})
+
+    def test_float_fields_take_ints(self):
+        as_ints = GenSpec(kind="constant", n=3, entry_low=2, entry_high=5, noise=1, seed=4)
+        as_floats = GenSpec(kind="constant", n=3, entry_low=2.0, entry_high=5.0, noise=1.0, seed=4)
+        assert generate(as_ints) == generate(as_floats)
 
 
 class TestGenerate:
