@@ -1,10 +1,11 @@
 """Command-line front door: CSV matrices in, text or JSON reports out.
 
-Exit status: 0 on success, 1 for domain errors (parse failures, dimension
-mismatches, unsatisfied hypotheses) and when the output stream closes before
-the report is written (`balmat ... | head`), 2 for unexpected internal
-errors. Hypothesis failures are ordinary outcomes when probing arbitrary
-matrices, so they exit with a clear message rather than a traceback.
+Exit status: 0 on success, 1 for usage errors, for domain errors (parse
+failures, dimension mismatches, unsatisfied hypotheses) and when the output
+stream closes before the report is written (`balmat ... | head`), 2 for
+unexpected internal errors. Hypothesis failures are ordinary outcomes when
+probing arbitrary matrices, so they exit with a clear message rather than a
+traceback.
 
 `_COMMANDS` is the one place that names each command and its arguments: the
 parser, the dispatch in `run` and the settings echoed under "params" all come
@@ -449,8 +450,16 @@ def run(ns: argparse.Namespace, out=None, err=None) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, like every other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="balmat",
         description="Analyze balance, spectra, discrepancy fairness, and determinants "
         "of dense real matrices; fuzz the underlying theorems.",

@@ -264,9 +264,7 @@ def _householder_kernel(n: int):
     result is the same bit for bit. Compiled on first use, once per n.
     """
     rows = tuple((r, *(1.0 if c == r else 0.0 for c in range(n))) for r in range(n))
-    namespace = {"sqrt": math.sqrt, "ROWS": rows}
-    exec(compile(_householder_source(n), f"<householder_{n}>", "exec"), namespace)
-    return namespace[f"householder_{n}"]
+    return _kernels._compile(_householder_source(n), f"householder_{n}", {"sqrt": math.sqrt, "ROWS": rows})
 
 
 def _householder_loop(g: list[float], n: int) -> list[list[float]]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import balmat
 from balmat.cli import (
     build_parser,
+    main,
     parse_matrix_csv,
     render_json,
     run,
@@ -239,6 +240,38 @@ class TestCommands:
         code, _, err = run_cli(["check", str(p)])
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["nope"], "argument command: invalid choice: 'nope'"),
+            (["check"], "the following arguments are required: input"),
+            (["fuzz", "--property", "estimator_exact", "--kind", "bogus"], "argument --kind: invalid choice: 'bogus'"),
+            (["check", "--rtol", "x", "m.csv"], "argument --rtol: invalid float value: 'x'"),
+        ],
+        ids=["unknown-command", "missing-file", "bad-choice", "bad-float"],
+    )
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        # A mistyped command is a bad input, not an internal error (exit 2).
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        prog = "balmat" if argv == ["nope"] else f"balmat {argv[0]}"
+        assert err.startswith(f"usage: {prog} ")
+        assert f"\n{prog}: error: {message}" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fuzz", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: balmat")
+
+    def test_no_command_exit_1(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr().err.startswith("usage: balmat")
 
     def test_internal_error_exit_2(self, csv_file, monkeypatch):
         import balmat.cli as cli_mod

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import balmat
-from balmat import genfuzz
+from balmat import _kernels, genfuzz
 from balmat.genfuzz import PROPERTIES
 
 from fingerprint_cases import CASES, EXPECTED, case_id, fingerprint, run_case
@@ -40,9 +40,18 @@ def test_fingerprint_sees_one_bit():
 def test_no_version_dependent_summation():
     # Since Python 3.12 builtin sum() adds floats with compensated summation,
     # so it rounds differently from 3.11 and would change fingerprints. The
-    # generated Householder kernels are checked with the files.
+    # generated kernels are checked with the files: every Householder n, and
+    # the shape kernels at the smallest shapes and at the bound (their source
+    # differs between shapes only in length).
+    k = _kernels._SHAPE_KERNEL_MAX_N
     sources = [(path.name, path.read_text()) for path in sorted(Path(balmat.__file__).parent.glob("*.py"))]
     sources += [(f"<householder_{n}>", genfuzz._householder_source(n)) for n in range(2, genfuzz._KERNEL_MAX_N + 1)]
+    sources += [
+        (f"<{kind}_{n}x{m}>", _kernels._kernel_source(kind, n, m))
+        for kind in ("row_square_sums", "col_square_sums", "line_stats")
+        for n in (1, 2, 3, k)
+        for m in (1, 2, 3, k)
+    ]
     found = []
     for name, source in sources:
         for node in ast.walk(ast.parse(source, name)):

@@ -8,6 +8,7 @@ with 80-digit `decimal` roots. The balance kernels must also agree bit for
 bit with the index-arithmetic forms kept in `tests/oracles.py`.
 """
 
+import ast
 import importlib.util
 import math
 from decimal import Decimal, localcontext
@@ -95,11 +96,21 @@ wide_entry = st.one_of(
 )
 
 
+K = _kernels._SHAPE_KERNEL_MAX_N
+
+#: Shapes at the bound of the generated kernels and one past it, where the
+#: loops run, and single rows and columns.
+EDGE_SHAPES = [(K, K), (K + 1, K), (K, K + 1), (1, K), (K, 1), (1, K + 1), (K + 1, 1), (1, 1)]
+
+
 @st.composite
-def wide_matrices(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    m = draw(st.integers(min_value=1, max_value=8))
-    entries = draw(st.lists(wide_entry, min_size=n * m, max_size=n * m))
+def wide_matrices(draw, edges=False):
+    """Up to 8x8 wide entries, or with `edges` also the EDGE_SHAPES."""
+    small = st.tuples(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
+    n, m = draw(st.one_of(small, st.sampled_from(EDGE_SHAPES)) if edges else small)
+    # Values drawn again from a small pool tie for a line's lowest and highest.
+    pool = draw(st.lists(wide_entry, min_size=1, max_size=3))
+    entries = draw(st.lists(st.one_of(wide_entry, st.sampled_from(pool)), min_size=n * m, max_size=n * m))
     return entries, n, m
 
 
@@ -107,28 +118,80 @@ def hexes(values):
     return [v.hex() for v in values]
 
 
-@given(wide_matrices())
+@given(wide_matrices(edges=True))
 @example(([1e154, 1e154, 1e154, 1e154], 2, 2))
 # 1 + 1 + 1 + 2^54 rounds to 2^54 + 4 left to right but to 2^54 right to left
 @example(([1.0, 1.0, 1.0, 2.0**27], 1, 4))
 @example(([1.0, 1.0, 1.0, 2.0**27], 4, 1))
 @example(([1e308, 1e308, -1e308, 1e308, 5e-324, -0.0], 3, 2))
+# the same at the bound and one past it
+@example(([1.0] * (K - 1) + [2.0**27], 1, K))
+@example(([1.0] * (K - 1) + [2.0**27], K, 1))
+@example(([1.0] * K + [2.0**27], 1, K + 1))
+@example(([1.0] * K + [2.0**27], K + 1, 1))
+# signed zeros, and squares that overflow, at the bound and one past it
+@example(([-0.0, 0.0] * (K * K // 2), K, K))
+@example(([-0.0, 0.0, 1e154] * (K * (K + 1) // 3) + [-0.0] * (K * (K + 1) % 3), K + 1, K))
+# outside the Matrix domain: NaN and the infinities
+@example(([math.nan, 1.0, math.inf, -math.inf, 2.0, math.inf], 2, 3))
 def test_square_sums_bit_for_bit(case):
     entries, n, m = case
     assert hexes(_kernels.row_square_sums(entries, n, m)) == hexes(oracles.row_square_sums(entries, n, m))
     assert hexes(_kernels.col_square_sums(entries, n, m)) == hexes(oracles.col_square_sums(entries, n, m))
 
 
-@given(wide_matrices())
+@given(wide_matrices(edges=True))
 @example(([1e308, 1e308, -1e308, 1e308, 5e-324, -0.0], 3, 2))
 # 1 + 1 + 2^53 is 2^53 + 2 left to right but 2^53 right to left
 @example(([1.0, 1.0, 2.0**53], 1, 3))
 @example(([1.0, 1.0, 2.0**53], 3, 1))
+# the same at the bound and one past it
+@example(([1.0] * (K - 1) + [2.0**53], 1, K))
+@example(([1.0] * (K - 1) + [2.0**53], K, 1))
+@example(([1.0] * K + [2.0**53], 1, K + 1))
+@example(([1.0] * K + [2.0**53], K + 1, 1))
+# signed zeros tie for lowest and highest; the first one seen is kept
+@example(([-0.0, 0.0] * (K * K // 2), K, K))
+@example(([0.0, -0.0, 0.0, -0.0], 2, 2))
+# outside the Matrix domain: NaN never compares, inf - inf is NaN
+@example(([math.nan, 1.0, math.inf, -math.inf, 2.0, math.inf], 2, 3))
+# ties for lowest and highest one past the bound
+@example(([2.0, -1.0, 2.0, -1.0, 2.0] * (K * (K + 1) // 5) + [2.0] * (K * (K + 1) % 5), K, K + 1))
 def test_line_stats_bit_for_bit(case):
     entries, n, m = case
     got = _kernels.line_stats(entries, n, m)
     want = oracles.line_stats(entries, n, m)
     assert [hexes(v) for v in got] == [hexes(v) for v in want]
+
+
+def _run_shape_kernels(n, m):
+    entries = [float(k) for k in range(n * m)]
+    _kernels.row_square_sums(entries, n, m)
+    _kernels.col_square_sums(entries, n, m)
+    _kernels.line_stats(entries, n, m)
+
+
+def test_shapes_past_the_bound_compile_nothing():
+    before = _kernels._kernel.cache_info()
+    for n, m in [(K + 1, 1), (1, K + 1), (K + 1, K), (K, K + 1)]:
+        _run_shape_kernels(n, m)
+    assert _kernels._kernel.cache_info() == before
+
+
+def test_each_shape_compiles_once():
+    _run_shape_kernels(3, 4)
+    before = _kernels._kernel.cache_info()
+    _run_shape_kernels(3, 4)
+    after = _kernels._kernel.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits == before.hits + 3
+
+
+@pytest.mark.parametrize("kind", ["row_square_sums", "col_square_sums", "line_stats"])
+def test_shape_kernels_call_nothing(kind):
+    # No builtin min() or max(): a call costs more than the comparisons it saves.
+    tree = ast.parse(_kernels._kernel_source(kind, 3, K))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
 #: Any float, NaN and the infinities included.
