@@ -9,6 +9,8 @@ results are the loop's bit for bit. The generated code calls no function:
 on CPython 3.11 a builtin `min()` or `max()` call costs more than the
 comparisons it would replace. A kernel is compiled on first use of its
 shape, never at import, and cached; larger shapes run the loops.
+
+Every kernel takes n, m >= 1, which `Matrix` guarantees.
 """
 
 import functools

@@ -89,6 +89,12 @@ def classify_balance(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> BalanceRe
     )
 
 
+def require(condition: bool, hypothesis: str) -> None:
+    """Raise HypothesisError(hypothesis) unless `condition` holds."""
+    if not condition:
+        raise HypothesisError(hypothesis)
+
+
 def require_balanced(a: Matrix, tol: TolerancePolicy, label: str = "input") -> BalanceReport:
     """Balance report of `a`; raises HypothesisError unless fully balanced."""
     report = classify_balance(a, tol)
@@ -105,3 +111,10 @@ def require_positive(a: Matrix) -> None:
     low = min(a.entries)
     if low <= 0.0:
         raise HypothesisError("not-positive", f"input has minimum entry {low}")
+
+
+def require_entries_at_least_one(a: Matrix, label: str = "input") -> None:
+    """Raise HypothesisError unless every entry of `a` is at least 1."""
+    low = min(a.entries)
+    if low < 1.0:
+        raise HypothesisError("entries-below-1", f"{label} has minimum entry {low}")

@@ -233,7 +233,7 @@ def _cmd_quadform(ns: argparse.Namespace, a: Matrix) -> dict:
         "branch": branch,
         "coeff_sum_sq": coeff_sum_sq,
         "coeff_xy": coeff_xy,
-        "grid": {"low": -2, "high": 2},
+        "grid": {"low": QUADFORM_GRID[0][0], "high": QUADFORM_GRID[-1][0]},
         "grid_max_abs_error": worst,
     }
 

@@ -32,8 +32,10 @@ class UnsupportedDimensionError(ConfigurationError):
 class HypothesisError(BalmatError):
     """A theorem hypothesis does not hold for the given input.
 
-    These are expected outcomes when probing arbitrary matrices, not bugs;
-    callers that sweep random inputs typically count them as not-applicable.
+    These are expected outcomes when probing arbitrary matrices, not bugs.
+    `hypothesis` names the failed hypothesis in kebab case ("not-balanced",
+    "not-2x2", ...). A campaign trial is not applicable exactly when its
+    check raises this error.
     """
 
     def __init__(self, hypothesis: str, detail: str = ""):

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from balmat import _kernels, algebra, spectral2
-from balmat.balance import balance_defect, classify_balance, square_sums
+from balmat.balance import (
+    balance_defect,
+    classify_balance,
+    require,
+    require_balanced,
+    require_entries_at_least_one,
+    square_sums,
+)
 from balmat.core import (
     DEFAULT_TOL,
     GENERATOR_KINDS,
@@ -416,9 +423,10 @@ class PropertyDef:
     name: str
     description: str
     make_inputs: Callable[[random.Random, GenSpec, FuzzContext], tuple[Matrix, ...]]
-    # None when the trial is not applicable; the estimator checks pair the
-    # record with the trial's (defect, error) point.
-    check: Callable[[tuple[Matrix, ...], FuzzContext], CheckRecord | tuple | None]
+    # Raises HypothesisError, whose `.hypothesis` names the reason, exactly
+    # when the trial is not applicable; the estimator checks pair the record
+    # with the trial's (defect, error) point.
+    check: Callable[[tuple[Matrix, ...], FuzzContext], CheckRecord | tuple]
     #: Always None: checks return their own (defect, error) pairs. Kept for
     #: the benchmark's tracer, which reads the field.
     metrics: None = None
@@ -437,14 +445,6 @@ def _gen_abs_one(rng, spec, ctx):
     return (Matrix(spec.n, spec.n, tuple([abs(v) for v in _generate_entries(rng, spec)])),)
 
 
-def _is_2x2(m: Matrix) -> bool:
-    return m.shape == (2, 2)
-
-
-def _is_positive(m: Matrix) -> bool:
-    return min(m.entries) > 0.0
-
-
 def _max_defect(m: Matrix) -> float:
     return max(balance_defect(m, "rows"), balance_defect(m, "columns"))
 
@@ -457,12 +457,13 @@ def _check_closure(op: str, factor: float, ms, ctx):
     calibration constant, violations beyond it are findings to study.
     """
     a, b = ms
-    if not (_is_2x2(a) and _is_2x2(b) and _is_positive(a) and _is_positive(b)):
-        return None
+    # Most perturbed pairs stop at the positivity gate, so it tests both
+    # inputs in one `require`. The balance reports are kept for the bound.
+    require(a.shape == (2, 2) and b.shape == (2, 2), "not-2x2")
+    require(min(a.entries) > 0.0 and min(b.entries) > 0.0, "not-positive")
     rep_a = classify_balance(a, ctx.tol)
     rep_b = classify_balance(b, ctx.tol)
-    if not (rep_a.fully_balanced and rep_b.fully_balanced):
-        return None
+    require(rep_a.fully_balanced and rep_b.fully_balanced, "not-balanced")
     lhs = _max_defect(getattr(algebra, op)(a, b))
     rhs = DEFECT_FLOOR + factor * (rep_a.max_defect + rep_b.max_defect)
     return CheckRecord.bounded(f"closure_{op}", lhs, rhs)
@@ -470,18 +471,17 @@ def _check_closure(op: str, factor: float, ms, ctx):
 
 def _check_closure_inverse(ms, ctx):
     a = ms[0]
-    if not _is_2x2(a):
-        return None
-    rep = classify_balance(a, ctx.tol)
-    if not rep.fully_balanced or rep.max_defect > DEFECT_FLOOR:
-        # Inverse closure is probed only on the exactly balanced manifold,
-        # where it is provable; condition-number amplification makes a
-        # defect bound meaningless off it.
-        return None
+    require(a.shape == (2, 2), "not-2x2")
+    rep = require_balanced(a, ctx.tol)
+    # Inverse closure is probed only on the exactly balanced manifold, where
+    # it is provable; condition-number amplification makes a defect bound
+    # meaningless off it. `not >` lets a NaN defect (square sums that
+    # overflow) through, as the balance gate does.
+    require(not rep.max_defect > DEFECT_FLOOR, "not-exactly-balanced")
     try:
         inv = algebra.inverse2(a, ctx.tol)
-    except SingularMatrixError:
-        return None
+    except SingularMatrixError as exc:
+        raise HypothesisError("singular", str(exc)) from exc
     return CheckRecord.bounded("closure_inverse", _max_defect(inv), DEFECT_FLOOR)
 
 
@@ -508,8 +508,8 @@ def _check_closure_scale(ms, ctx):
     lam = lam_box.entries[0]
     # The defect normalizer max(1, max_sum) must be live on both sides for
     # scale invariance to be exact; entry_low >= 1 and |lam| >= 1 ensure it.
-    if max(max(square_sums(a, "rows")), max(square_sums(a, "columns"))) < 1.0:
-        return None
+    biggest = max(max(square_sums(a, "rows")), max(square_sums(a, "columns")))
+    require(biggest >= 1.0, "square-sums-below-1")
     d0 = _max_defect(a)
     d1 = _max_defect(algebra.scale(lam, a))
     return CheckRecord.bounded("closure_scale", abs(d1 - d0), DEFECT_FLOOR)
@@ -517,48 +517,36 @@ def _check_closure_scale(ms, ctx):
 
 def _check_det_nonzero(ms, ctx):
     a = ms[0]
-    if not a.is_square:
-        return None
-    if not classify_balance(a, ctx.tol).fully_balanced:
-        return None
+    require(a.is_square, "not-square")
+    require_balanced(a, ctx.tol)
     moduli = [abs(e) for e in a.entries]
-    if _kernels.sums_all_close(moduli, ctx.tol.rtol, ctx.tol.atol):
-        return None  # premise requires the entry magnitudes to differ
+    require(not _kernels.sums_all_close(moduli, ctx.tol.rtol, ctx.tol.atol), "equal-moduli")
     det = algebra.det_via_trail(a, ctx.pivot_tol)
     return CheckRecord.bounded("det_nonzero", ctx.pivot_tol, abs(det))
 
 
 def _estimator_error(a, ctx):
-    """(estimate, error, defect) of the entry-sum estimator on a real-spectrum 2x2.
+    """(estimate, error, defect) of the entry-sum estimator on a 2x2.
 
-    None when `a` is not 2x2 or its spectrum is complex; the estimator's
-    own hypothesis gates raise HypothesisError. The defect is the one the
-    estimator's balance gate measured.
+    The estimator's gates admit only entries >= 1, so the spectrum's
+    discriminant (a - d)^2 + 4bc is at least 4 and the spectrum is real.
+    The defect is the one the estimator's balance gate measured.
     """
-    if not _is_2x2(a):
-        return None
+    require(a.shape == (2, 2), "not-2x2")
     est, report = spectral2._estimate_and_report(a, ctx.tol)
     s = spectral2.exact_spectrum2(a)
-    if s.is_complex:
-        return None
     err = max(abs(est.max_estimate - s.max_abs), abs(est.min_estimate - s.min_abs))
     return est, err, report.max_defect
 
 
 def _check_estimator_exact(ms, ctx):
-    found = _estimator_error(ms[0], ctx)
-    if found is None:
-        return None
-    est, err, defect = found
+    est, err, defect = _estimator_error(ms[0], ctx)
     return CheckRecord.bounded("estimator_exact", err, 1e-9 + 2.0 * est.spread), (defect, err)
 
 
 def _check_estimator_scaling(ms, ctx):
     a = ms[0]
-    found = _estimator_error(a, ctx)
-    if found is None:
-        return None
-    _, err, defect = found
+    _, err, defect = _estimator_error(a, ctx)
     denom = defect * max(abs(e) for e in a.entries)
     # Monitoring-only: the campaign's defect/error pairs carry the signal.
     return CheckRecord("estimator_scaling", True, err, denom, -1.0), (defect, err)
@@ -566,15 +554,13 @@ def _check_estimator_scaling(ms, ctx):
 
 def _check_emax_additivity(ms, ctx):
     a, b = ms
-    if not (_is_2x2(a) and _is_2x2(b)):
-        return None
+    require(a.shape == (2, 2) and b.shape == (2, 2), "not-2x2")
     return spectral2.emax_additivity_check(a, b, ctx.tol)
 
 
 def _check_trace_entry(ms, ctx):
     a = ms[0]
-    if not _is_2x2(a):
-        return None
+    require(a.shape == (2, 2), "not-2x2")
     return spectral2.trace_entry_check(a, ctx.tol)
 
 
@@ -592,10 +578,8 @@ def _make_symmetric2_inputs(rng, spec, ctx):
 
 def _check_quadform_predict(ms, ctx):
     a = ms[0]
-    if not _is_2x2(a):
-        return None
-    if not approx_eq(a.entries[1], a.entries[2], DEFAULT_TOL):
-        return None
+    require(a.shape == (2, 2), "not-2x2")
+    require(approx_eq(a.entries[1], a.entries[2], DEFAULT_TOL), "not-symmetric")
     est = spectral2.estimate_spectrum2(a, ctx.tol)
     s = spectral2.exact_spectrum2(a)
     branch = spectral2.quadform_branch_select(a)
@@ -642,7 +626,9 @@ def _make_one_fair_row_inputs(rng, spec, ctx):
 
 
 def _check_one_fair_row(ms, ctx):
-    return one_fair_row_check(ms[0], ctx.tol, ctx.fair_eps, ctx.unfair_theta)
+    record = one_fair_row_check(ms[0], ctx.tol, ctx.fair_eps, ctx.unfair_theta)
+    require(record is not None, "not-one-fair-row")
+    return record
 
 
 def _check_fairness_propagation(ms, ctx):
@@ -651,8 +637,8 @@ def _check_fairness_propagation(ms, ctx):
 
 def _check_interior_conjecture(ms, ctx):
     a = ms[0]
-    if not a.is_square or a.n_rows <= ctx.min_dim:
-        return None
+    require(a.is_square, "not-square")
+    require(a.n_rows > ctx.min_dim, "too-small")
     match, best = _interior_search(a, ctx.tol, ctx.min_dim)
     if match is not None:
         return CheckRecord("interior_conjecture", True, match.report.max_defect, 0.0, -1.0)
@@ -662,13 +648,10 @@ def _check_interior_conjecture(ms, ctx):
 
 def _check_interior_fair_corollary(ms, ctx):
     a = ms[0]
-    if min(a.n_rows, a.n_cols) < 3:
-        return None
-    if not classify_balance(a, ctx.tol).fully_balanced:
-        return None
+    require(min(a.n_rows, a.n_cols) >= 3, "too-small")
+    require_balanced(a, ctx.tol)
     drep = discrepancy_report(a, ctx.fair_eps)
-    if not (drep.fair_rows or drep.fair_cols):
-        return None
+    require(drep.fair_rows or drep.fair_cols, "not-fair")
     widening = 4.0 * ctx.fair_eps * max(abs(e) for e in a.entries) * max(a.n_rows, a.n_cols)
     widened = TolerancePolicy(ctx.tol.rtol, ctx.tol.atol + widening)
     ok, worst = _interiors_balanced(a, widened)
@@ -695,8 +678,7 @@ def _make_homomorphism_inputs(rng, spec, ctx):
 
 def _check_det_homomorphism(ms, ctx):
     a, b = ms
-    if not (_is_2x2(a) and _is_2x2(b)):
-        return None
+    require(a.shape == (2, 2) and b.shape == (2, 2), "not-2x2")
     return spectral2.det_homomorphism_check(a, b, ctx.tol, ctx.fair_eps)
 
 
@@ -713,20 +695,17 @@ def _make_homomorphism_n_inputs(rng, spec, ctx):
 
 def _check_det_homomorphism_n(ms, ctx):
     a, b = ms
-    if not (a.is_square and a.shape == b.shape):
-        return None
-    if min(a.entries) < 1.0 or min(b.entries) < 1.0:
-        return None
-    if not classify_balance(a, ctx.tol).fully_balanced:
-        return None
-    if not classify_balance(b, ctx.tol).fully_balanced:
-        return None
+    require(a.is_square, "not-square")
+    require(a.shape == b.shape, "shape-mismatch")
+    require_entries_at_least_one(a, "A")
+    require_entries_at_least_one(b, "B")
+    require_balanced(a, ctx.tol, "A")
+    require_balanced(b, ctx.tol, "B")
     det_a = algebra.det_via_trail(a, ctx.pivot_tol)
-    if abs(det_a) > ctx.tol.atol:
-        return None  # want a provably vanishing smallest eigenvalue
+    # A provably vanishing smallest eigenvalue.
+    require(abs(det_a) <= ctx.tol.atol, "det-not-small")
     rep_b = discrepancy_report(b, ctx.fair_eps)
-    if not (rep_b.fair_rows or rep_b.fair_cols):
-        return None
+    require(rep_b.fair_rows or rep_b.fair_cols, "not-fair")
     det_b = algebra.det_via_trail(b, ctx.pivot_tol)
     det_sum = algebra.det_via_trail(algebra.add(a, b), ctx.pivot_tol)
     lhs = abs(det_sum - (det_a + det_b))
@@ -890,10 +869,10 @@ def fuzz_campaign(
 ) -> FuzzReport:
     """Run a named check over `trials` freshly generated inputs.
 
-    Trials that fail a hypothesis (or a property's applicability premise)
-    count as not_applicable. Violating trials are stored as replayable
-    counterexamples, capped at `max_counterexamples`. unfair_theta defaults
-    to 10 * fair_eps.
+    A trial is not applicable exactly when its check raises HypothesisError,
+    whose `hypothesis` names the premise that failed. Violating trials are
+    stored as replayable counterexamples, capped at `max_counterexamples`.
+    unfair_theta defaults to 10 * fair_eps.
     """
     prop, ctx = _property_and_context(property_name, tol, fair_eps, unfair_theta, pivot_tol, min_dim)
     if trials < 1:
@@ -914,9 +893,6 @@ def fuzz_campaign(
         try:
             record = check(inputs, ctx)
         except HypothesisError:
-            not_applicable += 1
-            continue
-        if record is None:
             not_applicable += 1
             continue
         if type(record) is tuple:
@@ -952,7 +928,14 @@ def replay_counterexample(
     pivot_tol: float = 1e-10,
     min_dim: int = 2,
 ) -> CheckRecord | None:
-    """Re-run a property's check on stored counterexample inputs."""
+    """Re-run a property's check on stored counterexample inputs.
+
+    None exactly when the check raises HypothesisError, the test by which
+    `fuzz_campaign` counts a trial not applicable.
+    """
     prop, ctx = _property_and_context(property_name, tol, fair_eps, unfair_theta, pivot_tol, min_dim)
-    record = prop.check(tuple(matrices), ctx)
+    try:
+        record = prop.check(tuple(matrices), ctx)
+    except HypothesisError:
+        return None
     return record[0] if type(record) is tuple else record

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from balmat import _kernels
-from balmat.balance import BalanceReport, require_balanced, require_positive
+from balmat.balance import BalanceReport, require_balanced, require_entries_at_least_one, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, approx_eq
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError, SymmetryError
 
@@ -66,12 +66,6 @@ def _require_2x2(a: Matrix) -> None:
         raise DimensionError(f"operation defined for 2x2 matrices, got {a.n_rows}x{a.n_cols}")
 
 
-def _require_entries_at_least_one(a: Matrix, label: str = "input") -> None:
-    low = min(a.entries)
-    if low < 1.0:
-        raise HypothesisError("entries-below-1", f"{label} has minimum entry {low}")
-
-
 def exact_spectrum2(a: Matrix) -> Spectrum2:
     """Roots of lambda^2 - tr*lambda + det, the characteristic polynomial.
 
@@ -105,7 +99,7 @@ def _estimate_and_report(a: Matrix, tol: TolerancePolicy) -> tuple[SpectrumEstim
     """`estimate_spectrum2` plus the balance report its gate computed."""
     _require_2x2(a)
     report = require_balanced(a, tol)
-    _require_entries_at_least_one(a)
+    require_entries_at_least_one(a)
     ea, eb, ec, ed = a.entries
     s0, s1, s2, s3 = ea + eb, ec + ed, ea + ec, eb + ed
     d0, d1, d2, d3 = abs(ea - eb), abs(ec - ed), abs(ea - ec), abs(eb - ed)
@@ -233,8 +227,8 @@ def det_homomorphism_check(
 
     _require_2x2(a)
     _require_2x2(b)
-    _require_entries_at_least_one(a, "A")
-    _require_entries_at_least_one(b, "B")
+    require_entries_at_least_one(a, "A")
+    require_entries_at_least_one(b, "B")
     require_balanced(a, tol, "A")
     require_balanced(b, tol, "B")
     spec_a = exact_spectrum2(a)

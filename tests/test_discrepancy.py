@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from balmat import _kernels
 from balmat.algebra import transpose
 from balmat.balance import classify_balance
-from balmat.core import TolerancePolicy, constant_matrix, identity, matrix_from_rows
+from balmat.core import DEFAULT_TOL, TolerancePolicy, constant_matrix, identity, matrix_from_rows
 from balmat.discrepancy import (
     _interiors_balanced,
     _scan_interiors,
@@ -20,7 +20,7 @@ from balmat.discrepancy import (
     one_fair_row_check,
 )
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError
-from balmat.genfuzz import GenSpec, generate, replay_counterexample
+from balmat.genfuzz import PROPERTIES, FuzzContext, GenSpec, generate, replay_counterexample
 
 import oracles
 
@@ -328,8 +328,11 @@ class TestInteriorConjectureCheck:
 
     def test_unbalanced_input_fails_the_gate(self):
         m = matrix_from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        with pytest.raises(HypothesisError):
-            replay_counterexample("interior_conjecture", (m,))
+        ctx = FuzzContext(DEFAULT_TOL, 0.1, 1.0, 1e-10, 2)
+        with pytest.raises(HypothesisError) as e:
+            PROPERTIES["interior_conjecture"].check((m,), ctx)
+        assert e.value.hypothesis == "not-balanced"
+        assert replay_counterexample("interior_conjecture", (m,)) is None
 
     def test_too_small_is_not_applicable(self):
         assert replay_counterexample("interior_conjecture", (identity(3),), min_dim=3) is None

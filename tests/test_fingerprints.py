@@ -66,3 +66,28 @@ def test_no_version_dependent_summation():
             elif isinstance(node, ast.ImportFrom) and node.module == "statistics":
                 found.append(f"{name}:{node.lineno}: from statistics import")
     assert found == []
+
+
+def test_checks_never_return_none():
+    # A trial is not applicable exactly when its check raises
+    # HypothesisError, so no registered check, nor any function of
+    # `genfuzz` that one calls, returns None.
+    tree = ast.parse(Path(genfuzz.__file__).read_text(), "genfuzz.py")
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo = [getattr(p.check, "func", p.check).__name__ for p in PROPERTIES.values()]
+    seen = set()
+    found = []
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Return) and (node.value is None or (
+                isinstance(node.value, ast.Constant) and node.value.value is None
+            )):
+                found.append(f"{name}:{node.lineno}: return None")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                todo.append(node.func.id)
+    assert {"_check_closure", "_estimator_error"} <= seen
+    assert found == []

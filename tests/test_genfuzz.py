@@ -7,12 +7,21 @@ import pytest
 import oracles
 from balmat import _kernels, spectral2
 from balmat.balance import balance_defect, classify_balance
-from balmat.core import CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
-from balmat.errors import ConfigurationError, UnsupportedDimensionError
+from balmat.core import (
+    DEFAULT_TOL,
+    CheckRecord,
+    Matrix,
+    TolerancePolicy,
+    constant_matrix,
+    identity,
+    matrix_from_rows,
+)
+from balmat.errors import ConfigurationError, HypothesisError, UnsupportedDimensionError
 from balmat.genfuzz import (
     DEFECT_FLOOR,
     PROPERTIES,
     _KERNEL_MAX_N,
+    FuzzContext,
     FuzzReport,
     GenSpec,
     _build_scaled_orthogonal,
@@ -26,6 +35,8 @@ from balmat.genfuzz import (
     generate,
     replay_counterexample,
 )
+
+from fingerprint_cases import CASES, case_id
 
 
 def max_defect(m):
@@ -545,3 +556,95 @@ class TestWorkPerTrial:
         fuzz_campaign("closure_transpose", spec, 6)
         assert seen[0] == generate(spec)
         assert seen == [_generate_with(random.Random(_mix(spec.seed, i)), spec) for i in range(6)]
+
+
+BAL2 = matrix_from_rows([[2, 1], [1, 2]])  # balanced, positive, symmetric
+UNBAL2 = matrix_from_rows([[1, 2], [3, 4]])
+UNBAL3 = matrix_from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+WIDE = matrix_from_rows([[1, 2, 3], [4, 5, 6]])
+CONST3 = constant_matrix(3, 3, 2.0)  # balanced, fair, singular
+# Balanced with entries >= 1, but no line is fair at 0.1 and det = 20.
+UNFAIR3 = matrix_from_rows([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+HALVES = constant_matrix(3, 3, 0.5)
+
+#: One hand-built input per not-applicable exit of the checks in `genfuzz`:
+#: (property, inputs, min_dim, the hypothesis the exit names). Every other
+#: parameter is the campaign default.
+NOT_APPLICABLE = [
+    pytest.param("closure_add", (identity(3), BAL2), 2, "not-2x2", id="closure-not-2x2"),
+    pytest.param("closure_add", (matrix_from_rows([[2, -1], [-1, 2]]), BAL2), 2, "not-positive",
+                 id="closure-not-positive"),
+    pytest.param("closure_mul", (BAL2, UNBAL2), 2, "not-balanced", id="closure-not-balanced"),
+    pytest.param("closure_inverse", (identity(3),), 2, "not-2x2", id="inverse-not-2x2"),
+    pytest.param("closure_inverse", (UNBAL2,), 2, "not-balanced", id="inverse-not-balanced"),
+    # Square sums 5 and 5 + 4e-8: balanced at rtol 1e-6, with defect 8e-9.
+    pytest.param("closure_inverse", (matrix_from_rows([[2, 1], [1, 2 + 1e-8]]),), 2,
+                 "not-exactly-balanced", id="inverse-not-exactly-balanced"),
+    pytest.param("closure_inverse", (constant_matrix(2, 2, 1.0),), 2, "singular", id="inverse-singular"),
+    pytest.param("closure_scale", (constant_matrix(2, 2, 0.5), Matrix(1, 1, (2.0,))), 2,
+                 "square-sums-below-1", id="scale-square-sums-below-1"),
+    pytest.param("det_nonzero", (WIDE,), 2, "not-square", id="det_nonzero-not-square"),
+    pytest.param("det_nonzero", (UNBAL2,), 2, "not-balanced", id="det_nonzero-not-balanced"),
+    pytest.param("det_nonzero", (matrix_from_rows([[1, -1], [1, 1]]),), 2, "equal-moduli",
+                 id="det_nonzero-equal-moduli"),
+    pytest.param("estimator_exact", (identity(3),), 2, "not-2x2", id="estimator-not-2x2"),
+    pytest.param("emax_additivity", (BAL2, identity(3)), 2, "not-2x2", id="emax-not-2x2"),
+    pytest.param("trace_entry", (identity(3),), 2, "not-2x2", id="trace-not-2x2"),
+    pytest.param("quadform_predict", (identity(3),), 2, "not-2x2", id="quadform-not-2x2"),
+    pytest.param("quadform_predict", (UNBAL2,), 2, "not-symmetric", id="quadform-not-symmetric"),
+    # Both rows are fair, not exactly one.
+    pytest.param("one_fair_row", (CONST3,), 2, "not-one-fair-row", id="one_fair_row-not-one-fair-row"),
+    pytest.param("interior_conjecture", (WIDE,), 2, "not-square", id="interior-not-square"),
+    pytest.param("interior_conjecture", (identity(3),), 3, "too-small", id="interior-too-small"),
+    pytest.param("interior_fair_corollary", (BAL2,), 2, "too-small", id="corollary-too-small"),
+    pytest.param("interior_fair_corollary", (UNBAL3,), 2, "not-balanced", id="corollary-not-balanced"),
+    pytest.param("interior_fair_corollary", (UNFAIR3,), 2, "not-fair", id="corollary-not-fair"),
+    pytest.param("det_homomorphism", (identity(3), BAL2), 2, "not-2x2", id="homomorphism-not-2x2"),
+    pytest.param("det_homomorphism_n", (WIDE, WIDE), 2, "not-square", id="homomorphism_n-not-square"),
+    pytest.param("det_homomorphism_n", (CONST3, BAL2), 2, "shape-mismatch", id="homomorphism_n-shape-mismatch"),
+    pytest.param("det_homomorphism_n", (HALVES, CONST3), 2, "entries-below-1",
+                 id="homomorphism_n-a-entries-below-1"),
+    pytest.param("det_homomorphism_n", (CONST3, HALVES), 2, "entries-below-1",
+                 id="homomorphism_n-b-entries-below-1"),
+    pytest.param("det_homomorphism_n", (UNBAL3, CONST3), 2, "not-balanced", id="homomorphism_n-a-not-balanced"),
+    pytest.param("det_homomorphism_n", (CONST3, UNBAL3), 2, "not-balanced", id="homomorphism_n-b-not-balanced"),
+    pytest.param("det_homomorphism_n", (UNFAIR3, CONST3), 2, "det-not-small", id="homomorphism_n-det-not-small"),
+    pytest.param("det_homomorphism_n", (CONST3, UNFAIR3), 2, "not-fair", id="homomorphism_n-not-fair"),
+]  # fmt: skip
+
+
+class TestNotApplicable:
+    """A trial is not applicable exactly when its check raises HypothesisError."""
+
+    @pytest.mark.parametrize("name, inputs, min_dim, hypothesis", NOT_APPLICABLE)
+    def test_each_exit_names_its_hypothesis(self, name, inputs, min_dim, hypothesis):
+        ctx = FuzzContext(DEFAULT_TOL, 0.1, 1.0, 1e-10, min_dim)
+        with pytest.raises(HypothesisError) as exc:
+            PROPERTIES[name].check(inputs, ctx)
+        assert exc.value.hypothesis == hypothesis
+        assert replay_counterexample(name, inputs, min_dim=min_dim) is None
+
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_replay_is_none_for_exactly_the_not_applicable_trials(self, monkeypatch, case):
+        name, spec_kwargs, trials, kwargs = case
+        spec = GenSpec(**spec_kwargs)
+        prop = PROPERTIES[name]
+        outcomes = []  # (inputs, context, not applicable) per trial
+
+        def recording(inputs, ctx):
+            try:
+                record = prop.check(inputs, ctx)
+            except HypothesisError:
+                outcomes.append((inputs, ctx, True))
+                raise
+            outcomes.append((inputs, ctx, False))
+            return record
+
+        monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, check=recording))
+        report = fuzz_campaign(name, spec, trials, **kwargs)
+        monkeypatch.undo()  # replay runs the registered check
+        assert sum(na for _, _, na in outcomes) == report.not_applicable
+        for index, (seen, ctx, not_applicable) in enumerate(outcomes):
+            inputs = prop.make_inputs(random.Random(_mix(spec.seed, index)), spec, ctx)
+            assert inputs == seen
+            assert (replay_counterexample(name, inputs, **kwargs) is None) == not_applicable
