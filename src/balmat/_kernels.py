@@ -19,36 +19,27 @@ import math
 #: The kernel implementation in use; reported by `balmat --backend-info`.
 BACKEND = "python"
 
-# Elementary row-operation codes used in rref trails.
-OP_SWAP = 0
-OP_SCALE = 1
-OP_ADDMUL = 2
+
+def sum_squares(values):
+    """Left-to-right sum of squares from 0.0; builtin sum() rounds floats differently since 3.12."""
+    s = 0.0
+    for v in values:
+        s += v * v
+    return s
 
 
 def row_square_sums(entries, n, m):
     """Per-row sums of squared entries."""
     if n <= _SHAPE_KERNEL_MAX_N and m <= _SHAPE_KERNEL_MAX_N:
         return _kernel("row_square_sums", n, m)(entries)
-    out = []
-    for base in range(0, n * m, m):
-        s = 0.0
-        for e in entries[base : base + m]:
-            s += e * e
-        out.append(s)
-    return out
+    return [sum_squares(entries[base : base + m]) for base in range(0, n * m, m)]
 
 
 def col_square_sums(entries, n, m):
     """Per-column sums of squared entries."""
     if n <= _SHAPE_KERNEL_MAX_N and m <= _SHAPE_KERNEL_MAX_N:
         return _kernel("col_square_sums", n, m)(entries)
-    out = []
-    for j in range(m):
-        s = 0.0
-        for e in entries[j::m]:
-            s += e * e
-        out.append(s)
-    return out
+    return [sum_squares(entries[j::m]) for j in range(m)]
 
 
 def sums_all_close(sums, rtol, atol):
@@ -134,7 +125,7 @@ def rref(entries, n, m, pivot_tol, forward_only=False):
     treated as zero. Pivot entries are forced to exactly 1.0, and eliminated
     entries and the candidates of a column without a pivot to exactly 0.0.
     Returns (reduced_entries, trail, rank) where the trail is a list of
-    (op_code, i, j, factor) tuples.
+    (kind, i, j, factor) tuples, the fields of `algebra.ElementaryOp`.
 
     With `forward_only` set, rows above each pivot are left as they are, so
     the result is a row echelon form with unit pivots. A row is complete by
@@ -165,7 +156,7 @@ def rref(entries, n, m, pivot_tol, forward_only=False):
             b_base = best * m
             for j in range(m):
                 r[a_base + j], r[b_base + j] = r[b_base + j], r[a_base + j]
-            trail.append((OP_SWAP, pivot_row, best, 0.0))
+            trail.append(("swap_rows", pivot_row, best, 0.0))
         pivot = r[pivot_row * m + col]
         if pivot != 1.0:
             f = 1.0 / pivot
@@ -173,7 +164,7 @@ def rref(entries, n, m, pivot_tol, forward_only=False):
             for j in range(m):
                 r[base + j] *= f
             r[base + col] = 1.0
-            trail.append((OP_SCALE, pivot_row, pivot_row, f))
+            trail.append(("scale_row", pivot_row, pivot_row, f))
         p_base = pivot_row * m
         for i in range(pivot_row + 1 if forward_only else 0, n):
             if i == pivot_row:
@@ -185,7 +176,7 @@ def rref(entries, n, m, pivot_tol, forward_only=False):
                 for j in range(m):
                     r[base + j] += f * r[p_base + j]
                 r[base + col] = 0.0
-                trail.append((OP_ADDMUL, i, pivot_row, f))
+                trail.append(("add_multiple", i, pivot_row, f))
         pivot_row += 1
     return r, trail, pivot_row
 

@@ -17,12 +17,6 @@ from balmat import _kernels
 from balmat.core import DEFAULT_TOL, Matrix, TolerancePolicy
 from balmat.errors import DimensionError, InvalidInputError, SingularMatrixError
 
-_KIND_BY_CODE = {
-    _kernels.OP_SWAP: "swap_rows",
-    _kernels.OP_SCALE: "scale_row",
-    _kernels.OP_ADDMUL: "add_multiple",
-}
-
 
 @dataclass(frozen=True)
 class ElementaryOp:
@@ -121,9 +115,7 @@ def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
     is what decides the numerical rank.
     """
     reduced, raw_trail, rank = _rref(a, pivot_tol)
-    trail = tuple(
-        ElementaryOp(_KIND_BY_CODE[code], i, j, factor) for code, i, j, factor in raw_trail
-    )
+    trail = tuple(ElementaryOp(*op) for op in raw_trail)
     return RrefResult(R=Matrix(a.n_rows, a.n_cols, tuple(reduced)), trail=trail, rank=rank)
 
 
@@ -146,12 +138,12 @@ def _det_rank_steps(a: Matrix, pivot_tol: float, forward_only: bool = False) -> 
         raise DimensionError(f"determinant needs a square matrix, got {a.n_rows}x{a.n_cols}")
     reduced, raw_trail, rank = _rref(a, pivot_tol, forward_only)
     prod = 1.0
-    for code, _, _, factor in raw_trail:
-        if code == _kernels.OP_SCALE:
+    for kind, _, _, factor in raw_trail:
+        if kind == "scale_row":
             if factor == 0.0:
                 raise InvalidInputError("scale_row factor must be nonzero")
             prod *= factor
-        elif code == _kernels.OP_SWAP:
+        elif kind == "swap_rows":
             prod *= -1.0
     if not all(map(math.isfinite, reduced)):
         raise InvalidInputError("elimination overflowed: the reduced form has a non-finite entry")

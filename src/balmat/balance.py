@@ -8,6 +8,7 @@ property fails, normalized so they are comparable across scales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -64,7 +65,9 @@ def classify_balance(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> BalanceRe
 
     Balance requires every *pair* of square sums to agree under `tol`,
     matching the universally quantified definition rather than comparing
-    adjacent lines only.
+    adjacent lines only. An axis whose square sums overflow is not
+    balanced: its defect is then NaN, and `sums_all_close` would count the
+    infinite sums as close to anything.
     """
     rs = _kernels.row_square_sums(a.entries, a.n_rows, a.n_cols)
     cs = _kernels.col_square_sums(a.entries, a.n_rows, a.n_cols)
@@ -74,8 +77,8 @@ def classify_balance(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> BalanceRe
     if is_zero:
         h_bal = v_bal = full = False
     else:
-        h_bal = _kernels.sums_all_close(rs, tol.rtol, tol.atol)
-        v_bal = _kernels.sums_all_close(cs, tol.rtol, tol.atol)
+        h_bal = math.isfinite(h_defect) and _kernels.sums_all_close(rs, tol.rtol, tol.atol)
+        v_bal = math.isfinite(v_defect) and _kernels.sums_all_close(cs, tol.rtol, tol.atol)
         full = h_bal and v_bal
     return BalanceReport(
         row_square_sums=tuple(rs),

@@ -78,10 +78,16 @@ def serialize_csv(a: Matrix) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: JSON has no literal for these; Python's `json` module writes and reads them as tokens.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _fmt_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # avoid "-0", which would not round-trip as a float literal
-    return f"{x:.17g}"
+    s = f"{x:.17g}"
+    # A finite float's 17-digit form ends in a digit; "nan" and "inf" do not.
+    return s if s[-1] <= "9" else _JSON_NON_FINITE[s]
 
 
 def _escape(s: str) -> str:
@@ -103,7 +109,8 @@ def render_json(obj, indent: int = 0) -> str:
     """Serialize dict/list/str/bool/int/float/None with stable formatting.
 
     Floats carry 17 significant digits so parsing and re-serializing the
-    output is byte-identical.
+    output is byte-identical. NaN and the infinities are written as `NaN`,
+    `Infinity` and `-Infinity`, which `json.loads` reads back.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)

@@ -49,15 +49,16 @@ def discrepancy_report(a: Matrix, fair_eps: float) -> DiscrepancyReport:
         a.entries, a.n_rows, a.n_cols
     )
     fair_rows_idx = frozenset(i for i, d in enumerate(row_devs) if d < fair_eps)
+    max_row_dev, max_col_dev = max(row_devs), max(col_devs)
     return DiscrepancyReport(
         row_sums=tuple(row_sums),
         col_sums=tuple(col_sums),
         row_means=tuple(row_means),
         col_means=tuple(col_means),
-        max_row_deviation=max(row_devs),
-        max_col_deviation=max(col_devs),
-        fair_rows=max(row_devs) < fair_eps,
-        fair_cols=max(col_devs) < fair_eps,
+        max_row_deviation=max_row_dev,
+        max_col_deviation=max_col_dev,
+        fair_rows=max_row_dev < fair_eps,
+        fair_cols=max_col_dev < fair_eps,
         fair_row_indices=fair_rows_idx,
         fair_eps=fair_eps,
     )

@@ -113,14 +113,6 @@ def _mix(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _sum_squares(xs) -> float:
-    """Left-to-right sum of squares; builtin sum() rounds floats differently since 3.12."""
-    s = 0.0
-    for v in xs:
-        s += v * v
-    return s
-
-
 def _build_constant(rng: random.Random, spec: GenSpec) -> list[float]:
     lam = rng.uniform(spec.entry_low, spec.entry_high)
     return [lam] * (spec.n * spec.n)
@@ -282,13 +274,13 @@ def _householder_loop(g: list[float], n: int) -> list[list[float]]:
     for k in range(n - 1):
         lower = a[k:]
         v = [row[k] for row in lower]
-        norm = math.sqrt(_sum_squares(v))
+        norm = math.sqrt(_kernels.sum_squares(v))
         if norm == 0.0:
             continue
         # v[0] moves away from zero, so v's squares sum to at least the
         # column's, and that sum is not 0.0
         v[0] -= -norm if v[0] >= 0.0 else norm
-        beta = 2.0 / _sum_squares(v)
+        beta = 2.0 / _kernels.sum_squares(v)
         # Apply I - beta v v^T to rows k.. of a (from the left). Only R's
         # diagonal is read again, so column k keeps just a[k][k] and the
         # other columns skip row k.
@@ -475,9 +467,8 @@ def _check_closure_inverse(ms, ctx):
     rep = require_balanced(a, ctx.tol)
     # Inverse closure is probed only on the exactly balanced manifold, where
     # it is provable; condition-number amplification makes a defect bound
-    # meaningless off it. `not >` lets a NaN defect (square sums that
-    # overflow) through, as the balance gate does.
-    require(not rep.max_defect > DEFECT_FLOOR, "not-exactly-balanced")
+    # meaningless off it.
+    require(rep.max_defect <= DEFECT_FLOOR, "not-exactly-balanced")
     try:
         inv = algebra.inverse2(a, ctx.tol)
     except SingularMatrixError as exc:
@@ -508,9 +499,9 @@ def _check_closure_scale(ms, ctx):
     lam = lam_box.entries[0]
     # The defect normalizer max(1, max_sum) must be live on both sides for
     # scale invariance to be exact; entry_low >= 1 and |lam| >= 1 ensure it.
-    biggest = max(max(square_sums(a, "rows")), max(square_sums(a, "columns")))
-    require(biggest >= 1.0, "square-sums-below-1")
-    d0 = _max_defect(a)
+    rs, cs = square_sums(a, "rows"), square_sums(a, "columns")
+    require(max(max(rs), max(cs)) >= 1.0, "square-sums-below-1")
+    d0 = max(_kernels.spread_defect(rs), _kernels.spread_defect(cs))
     d1 = _max_defect(algebra.scale(lam, a))
     return CheckRecord.bounded("closure_scale", abs(d1 - d0), DEFECT_FLOOR)
 
@@ -618,7 +609,7 @@ def _make_one_fair_row_inputs(rng, spec, ctx):
     high = max(spec.entry_high, 2.0 * low)
     m_val = rng.uniform(low, high)
     w = [m_val + eta, m_val - eta] + [m_val] * (n - 2)
-    c = math.sqrt(_sum_squares(w) / n)
+    c = math.sqrt(_kernels.sum_squares(w) / n)
     flat = [c] * n
     for i in range(1, n):
         flat += w[i:] + w[:i]

@@ -75,7 +75,7 @@ def exact_spectrum2(a: Matrix) -> Spectrum2:
     """
     _require_2x2(a)
     lam1, lam2, is_complex = _kernels.spectrum2(*a.entries)
-    return Spectrum2(lam1, lam2, bool(is_complex))
+    return Spectrum2(lam1, lam2, is_complex)
 
 
 def _mean4(v0: float, v1: float, v2: float, v3: float) -> float:

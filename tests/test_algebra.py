@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from balmat import _kernels
 from balmat.algebra import (
+    ElementaryOp,
     _det_rank_steps,
     add,
     det2,
@@ -191,6 +192,16 @@ class TestRref:
             for j, (got, want) in enumerate(zip(got_row, want_row)):
                 assert abs(got - want) <= (bound if j in pivot_cols else free_bound)
 
+    @given(square_matrices())
+    @example(Matrix(3, 3, (1.0, 2.0, 3.0, 2.0, 4.0, 6.0 + 3e-11, 1e-12, 0.0, 1.0)))
+    def test_kernel_trail_carries_elementary_op_fields(self, m):
+        # The kernel writes each step as ElementaryOp's own fields, so the
+        # trail is built without translating them.
+        full = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL)[1]
+        fwd = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL, forward_only=True)[1]
+        assert {op[0] for op in full + fwd} <= {"swap_rows", "scale_row", "add_multiple"}
+        assert rref_with_trail(m, PIVOT_TOL).trail == tuple(ElementaryOp(*op) for op in full)
+
     @given(well_scaled_matrices(max_dim=4))
     def test_rank_matches_transpose_and_numpy(self, m):
         # Thresholded elimination rank is a different notion from SVD rank
@@ -267,12 +278,12 @@ class TestDetViaTrail:
         # add-multiples above the pivots are gone.
         full = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL)[1]
         fwd = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL, forward_only=True)[1]
-        assert all(i > j for code, i, j, _ in fwd if code == _kernels.OP_ADDMUL)
-        assert [op for op in fwd if op[0] != _kernels.OP_ADDMUL] == [
-            op for op in full if op[0] != _kernels.OP_ADDMUL
+        assert all(i > j for kind, i, j, _ in fwd if kind == "add_multiple")
+        assert [op for op in fwd if op[0] != "add_multiple"] == [
+            op for op in full if op[0] != "add_multiple"
         ]
-        assert [op for op in fwd if op[0] == _kernels.OP_ADDMUL] == [
-            op for op in full if op[0] == _kernels.OP_ADDMUL and op[1] > op[2]
+        assert [op for op in fwd if op[0] == "add_multiple"] == [
+            op for op in full if op[0] == "add_multiple" and op[1] > op[2]
         ]
 
     def test_matches_cofactor_oracle_on_seeded_matrices(self):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -74,6 +75,20 @@ class TestClassifyBalance:
 
     def test_unbalanced_rows(self):
         rep = classify_balance(matrix_from_rows([[1, 2], [3, 4]]), TolerancePolicy(rtol=1e-6))
+        assert not rep.horizontally_balanced
+        assert not rep.fully_balanced
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e200, 0.0], [1.0, 0.0]],  # one row's square sum overflows
+            [[1e200, 1.0], [1.0, 1e200]],  # every line's does, equally
+            [[1e200, 1e200], [1e200, 2e200]],
+        ],
+    )
+    def test_overflowing_square_sums_are_not_balanced(self, rows):
+        rep = classify_balance(matrix_from_rows(rows))
+        assert math.isinf(max(rep.row_square_sums))
         assert not rep.horizontally_balanced
         assert not rep.fully_balanced
 

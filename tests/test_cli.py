@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -122,6 +123,13 @@ class TestRenderJson:
         assert text == "0"
         assert render_json(json.loads(text)) == text
 
+    def test_non_finite_floats_read_back(self):
+        text = render_json([math.nan, math.inf, -math.inf])
+        assert text == "[\n  NaN,\n  Infinity,\n  -Infinity\n]"
+        nan, inf, neg_inf = json.loads(text)
+        assert math.isnan(nan) and inf == math.inf and neg_inf == -math.inf
+        assert render_json(json.loads(text)) == text
+
 
 class TestCommands:
     def test_check_text(self, csv_file):
@@ -136,6 +144,19 @@ class TestCommands:
         assert doc["command"] == "check"
         assert doc["result"]["fully_balanced"] is True
         assert doc["result"]["horizontal_defect"] == 0.0
+
+    def test_check_overflowing_square_sums(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("1e200,1e200\n1e200,2e200\n")
+        code, out, err = run_cli(["check", str(p)])
+        assert code == 0 and err == ""
+        assert "fully_balanced: false" in out
+        code, out, _ = run_cli(["check", str(p), "--format", "json"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["fully_balanced"] is False
+        assert math.isnan(result["horizontal_defect"]) and math.isnan(result["vertical_defect"])
+        assert result["row_square_sums"] == [math.inf, math.inf]
 
     def test_spectrum(self, csv_file):
         code, out, _ = run_cli(["spectrum", csv_file, "--format", "json"])
@@ -268,6 +289,18 @@ class TestCommands:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: balmat")
+
+    def test_backend_info(self, capsys):
+        assert main(["--backend-info"]) == 0
+        assert capsys.readouterr().out == "kernel backend: python\n"
+        # The benchmark reads it from a fresh `python -m balmat` process.
+        env = os.environ.copy()
+        root = str(Path(balmat.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "balmat", "--backend-info"], capture_output=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"kernel backend: python\n", b"")
 
     def test_no_command_exit_1(self, capsys):
         assert main([]) == 1

@@ -213,6 +213,12 @@ class TestFindBalancedInterior:
         with pytest.raises(HypothesisError):
             find_balanced_interior(matrix_from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), min_dim=2)
 
+    def test_overflowing_square_sums_rejected(self):
+        m = matrix_from_rows([[1e200, 3, 1], [2, 1e200, 5], [1, 1, 1e200]])
+        with pytest.raises(HypothesisError) as e:
+            find_balanced_interior(m, min_dim=2)
+        assert e.value.hypothesis == "not-balanced"
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             find_balanced_interior(constant_matrix(2, 3, 1.0), min_dim=2)

@@ -479,6 +479,11 @@ class TestCampaigns:
             )
             assert rep.trials == 20
 
+    def test_every_metrics_hook_is_none(self):
+        # The benchmark's tracer reads `PropertyDef.metrics`; the field stays
+        # until the benchmark stops reading it.
+        assert all(prop.metrics is None for prop in PROPERTIES.values())
+
 
 class TestWorkPerTrial:
     """Each trial does each piece of work once."""

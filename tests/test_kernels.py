@@ -138,6 +138,8 @@ def test_square_sums_bit_for_bit(case):
     entries, n, m = case
     assert hexes(_kernels.row_square_sums(entries, n, m)) == hexes(oracles.row_square_sums(entries, n, m))
     assert hexes(_kernels.col_square_sums(entries, n, m)) == hexes(oracles.col_square_sums(entries, n, m))
+    rows = [entries[b : b + m] for b in range(0, n * m, m)]
+    assert hexes(map(_kernels.sum_squares, rows)) == hexes(oracles.row_square_sums(entries, n, m))
 
 
 @given(wide_matrices(edges=True))
