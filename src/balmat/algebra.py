@@ -126,7 +126,8 @@ def _det_rank_steps(a: Matrix, pivot_tol: float, forward_only: bool = False) -> 
     operations E_1..E_k, so its determinant is the reciprocal of the product
     of their det factors, multiplied in trail order: the factor of a scale
     step, -1.0 for a swap. An add-multiple step's factor is exactly 1.0, so
-    leaving it out changes no bits. Rank-deficient input gives exactly 0.0.
+    leaving it out changes no bits. Rank-deficient input gives exactly 0.0,
+    and a determinant that overflows gives +-inf.
 
     Elimination that overflows is rejected as `rref_with_trail` rejects it:
     a zero scale factor or a non-finite reduced entry raises
@@ -147,7 +148,8 @@ def _det_rank_steps(a: Matrix, pivot_tol: float, forward_only: bool = False) -> 
             prod *= -1.0
     if not all(map(math.isfinite, reduced)):
         raise InvalidInputError("elimination overflowed: the reduced form has a non-finite entry")
-    det = 1.0 / prod if rank == a.n_rows else 0.0
+    # A product that underflowed to +-0.0 is a determinant that overflows.
+    det = 0.0 if rank < a.n_rows else 1.0 / prod if prod else math.copysign(math.inf, prod)
     return det, rank, len(raw_trail)
 
 

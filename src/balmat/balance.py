@@ -19,6 +19,11 @@ from balmat.errors import HypothesisError, InvalidInputError
 Axis = Literal["rows", "columns"]
 
 
+def nan_max(x: float, y: float) -> float:
+    """max(x, y), but NaN if either is NaN: builtin max drops a NaN in second place."""
+    return y if y > x or y != y else x
+
+
 @dataclass(frozen=True)
 class BalanceReport:
     """Classification of one matrix plus the defect metrics behind it.
@@ -38,7 +43,7 @@ class BalanceReport:
 
     @property
     def max_defect(self) -> float:
-        return max(self.horizontal_defect, self.vertical_defect)
+        return nan_max(self.horizontal_defect, self.vertical_defect)
 
 
 def square_sums(a: Matrix, axis: Axis) -> tuple[float, ...]:

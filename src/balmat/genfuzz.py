@@ -25,6 +25,7 @@ from balmat import _kernels, algebra, spectral2
 from balmat.balance import (
     balance_defect,
     classify_balance,
+    nan_max,
     require,
     require_balanced,
     require_entries_at_least_one,
@@ -50,6 +51,7 @@ from balmat.discrepancy import (
 from balmat.errors import (
     ConfigurationError,
     HypothesisError,
+    InvalidInputError,
     SingularMatrixError,
     UnsupportedDimensionError,
 )
@@ -259,8 +261,9 @@ def _householder_source(n: int) -> str:
 def _householder_kernel(n: int):
     """`_householder_loop(g, n)` scaled by s and flattened, as one compiled function of (g, s).
 
-    Every float operation keeps the loop's operands and order, so the
-    result is the same bit for bit. Compiled on first use, once per n.
+    Every value it reads keeps the loop's operands and order (on the
+    identity, their bits), which is all the same bits need. Compiled on
+    first use, once per n.
     """
     rows = tuple((r, *(1.0 if c == r else 0.0 for c in range(n))) for r in range(n))
     return _kernels._compile(_householder_source(n), f"householder_{n}", {"sqrt": math.sqrt, "ROWS": rows})
@@ -270,10 +273,8 @@ def _householder_loop(g: list[float], n: int) -> list[list[float]]:
     """Q of the Householder QR of the row-major n x n sample g, with R's diagonal made positive."""
     a = [g[b : b + n] for b in range(0, n * n, n)]
     q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    q_is_identity = True
     for k in range(n - 1):
-        lower = a[k:]
-        v = [row[k] for row in lower]
+        v = [row[k] for row in a[k:]]
         norm = math.sqrt(_kernels.sum_squares(v))
         if norm == 0.0:
             continue
@@ -281,31 +282,16 @@ def _householder_loop(g: list[float], n: int) -> list[list[float]]:
         # column's, and that sum is not 0.0
         v[0] -= -norm if v[0] >= 0.0 else norm
         beta = 2.0 / _kernels.sum_squares(v)
-        # Apply I - beta v v^T to rows k.. of a (from the left). Only R's
-        # diagonal is read again, so column k keeps just a[k][k] and the
-        # other columns skip row k.
-        pairs = list(zip(v, lower))
-        below = pairs[1:]
-        w = 0.0
-        for vt, row in pairs:
-            w += vt * row[k]
-        a[k][k] -= w * beta * v[0]
-        for j in range(k + 1, n):
+        # Apply I - beta v v^T to rows k.. of a (from the left) and to
+        # columns k.. of q (from the right).
+        lower = list(zip(v, a[k:]))
+        for j in range(k, n):
             w = 0.0
-            for vt, row in pairs:
+            for vt, row in lower:
                 w += vt * row[j]
             w *= beta
-            for vt, row in below:
+            for vt, row in lower:
                 row[j] -= w * vt
-        # Apply it to columns k.. of q (from the right). On the identity
-        # that leaves I - beta v v^T in rows and columns k..
-        if q_is_identity:
-            q_is_identity = False
-            for vt, row in zip(v, q[k:]):
-                w = vt * beta
-                for c, vc in enumerate(v, k):
-                    row[c] -= w * vc
-            continue
         right = list(zip(range(k, n), v))
         for row in q:
             w = 0.0
@@ -438,7 +424,7 @@ def _gen_abs_one(rng, spec, ctx):
 
 
 def _max_defect(m: Matrix) -> float:
-    return max(balance_defect(m, "rows"), balance_defect(m, "columns"))
+    return nan_max(balance_defect(m, "rows"), balance_defect(m, "columns"))
 
 
 def _check_closure(op: str, factor: float, ms, ctx):
@@ -501,8 +487,12 @@ def _check_closure_scale(ms, ctx):
     # scale invariance to be exact; entry_low >= 1 and |lam| >= 1 ensure it.
     rs, cs = square_sums(a, "rows"), square_sums(a, "columns")
     require(max(max(rs), max(cs)) >= 1.0, "square-sums-below-1")
-    d0 = max(_kernels.spread_defect(rs), _kernels.spread_defect(cs))
-    d1 = _max_defect(algebra.scale(lam, a))
+    d0 = nan_max(_kernels.spread_defect(rs), _kernels.spread_defect(cs))
+    try:
+        scaled = algebra.scale(lam, a)
+    except InvalidInputError as exc:
+        raise HypothesisError("scaled-overflows", str(exc)) from exc
+    d1 = _max_defect(scaled)
     return CheckRecord.bounded("closure_scale", abs(d1 - d0), DEFECT_FLOOR)
 
 
@@ -633,8 +623,9 @@ def _check_interior_conjecture(ms, ctx):
     match, best = _interior_search(a, ctx.tol, ctx.min_dim)
     if match is not None:
         return CheckRecord("interior_conjecture", True, match.report.max_defect, 0.0, -1.0)
-    # No balanced interior: report how close the best block came.
-    return CheckRecord("interior_conjecture", False, best, 0.0, best)
+    # No balanced interior: report how close the best block came. An
+    # all-zero block comes at 0.0, a slack no violation can have, so 1.0.
+    return CheckRecord("interior_conjecture", False, best, 0.0, best or 1.0)
 
 
 def _check_interior_fair_corollary(ms, ctx):
@@ -889,7 +880,7 @@ def fuzz_campaign(
         if type(record) is tuple:
             record, pair = record
             pairs.append(pair)
-        worst_slack = record.slack if worst_slack is None else max(worst_slack, record.slack)
+        worst_slack = record.slack if worst_slack is None else nan_max(worst_slack, record.slack)
         if record.holds:
             passes += 1
         else:

@@ -42,10 +42,13 @@ CASES = [
     ("closure_inverse", dict(kind="perturbed", noise=0.1, seed=9), 200, {}),
     ("closure_transpose", dict(kind="perturbed", n=4, noise=1.0, seed=24), 100, {}),
     ("closure_transpose", dict(kind="scaled_orthogonal", n=5, seed=10), 100, {}),
+    # Above the largest compiled Householder kernel: draws run the loop.
+    ("closure_transpose", dict(kind="scaled_orthogonal", n=20, seed=45), 20, {}),
     ("closure_scale", dict(kind="perturbed", n=3, noise=0.3, seed=25), 100, {}),
     ("det_nonzero", dict(kind="symmetric2", seed=27), 200, {}),
     ("det_nonzero", dict(kind="scaled_orthogonal", n=5, seed=11), 60, {}),
     ("det_nonzero", dict(kind="scaled_orthogonal", n=8, seed=12), 40, {}),
+    ("det_nonzero", dict(kind="scaled_orthogonal", n=17, seed=45), 20, {}),
     ("det_nonzero", dict(kind="hadamard_like", n=8, seed=13), 40, {}),
     ("det_nonzero", dict(kind="perturbed", n=6, noise=0.01, seed=14), 40,
      dict(tol=TolerancePolicy(rtol=0.05, atol=1e-9))),
@@ -120,10 +123,13 @@ EXPECTED = {
     "closure_inverse-perturbed-n2-s9": "31173dbc11ad650d44b1617aee6c91d4f66e73a993511f0164c23b065cc815bd",
     "closure_transpose-perturbed-n4-s24": "ca8685aa707656dd301265c8baff145175dd5544b33d0f52f2ff733f30c938cd",
     "closure_transpose-scaled_orthogonal-n5-s10": "5536c9f7e6b0dc69681b44d9a3aacd7f489e3ce61b2473cdc3b74f63b5972b40",
+    # Taken on the loop before it became the plain reflector loop.
+    "closure_transpose-scaled_orthogonal-n20-s45": "9fde6f88b75e8dceb2e79164e5eff24e9a98f6fa6d892376e51276357b1d11fb",
     "closure_scale-perturbed-n3-s25": "9af9a350dfd6b406a682e5afb145b9c79074cb77c9fd4a177a2a231af28a5573",
     "det_nonzero-symmetric2-n2-s27": "1cce441064b6b5387947c66d2afe26f94b02d84b1fc467b54278e3319c7f829d",
     "det_nonzero-scaled_orthogonal-n5-s11": "c595d50abb7a9282d8317e84402adff2ef15f0cc6f11913ff1a66c24ce9bbc3c",
     "det_nonzero-scaled_orthogonal-n8-s12": "cb2810634eb03844c7d96c7719f3f7fd0b78bd5e59dd2fed184625e13ce49706",
+    "det_nonzero-scaled_orthogonal-n17-s45": "0476a72378654e2435451e1488cb5ede1082cc57e00cdb6cf59e666563c70d1c",
     "det_nonzero-hadamard_like-n8-s13": "2a77cfee6425bdb240729141ec686fd51715dc6a31627ec78be9a37b1a208dc0",
     "det_nonzero-perturbed-n6-s14": "73cadf43b37eec6d7d6a21754f0a69b95488311d067371868e1943fb68e7021d",
     "estimator_exact-symmetric2-n2-s26": "d280ea2d6c14e325b4e001fca4fd7bca86c71670ab009965acb1b4ee17d1c504",

@@ -254,6 +254,13 @@ class TestDetViaTrail:
         with pytest.raises(InvalidInputError):
             det_via_trail(m)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_determinant_is_infinite(self, sign):
+        # The scale factors' product underflows to +-0.0.
+        m = matrix_from_rows([[sign * 1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]])
+        assert det_via_trail(m) == sign * math.inf
+        assert _det_rank_steps(m, PIVOT_TOL) == (sign * math.inf, 3, 3)
+
     def test_overflow_above_the_pivots_only_is_not_seen(self):
         # Clearing column 1 above its pivot takes row 0 to -1e310 = -inf in
         # column 2, and clearing column 2 then leaves nan. Forward

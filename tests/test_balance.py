@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from balmat.algebra import scale, transpose
-from balmat.balance import balance_defect, classify_balance, square_sums
+from balmat.balance import balance_defect, classify_balance, nan_max, square_sums
 from balmat.core import TolerancePolicy, constant_matrix, identity, matrix_from_rows
 from balmat.errors import InvalidInputError
 
@@ -103,6 +103,16 @@ class TestClassifyBalance:
         rep = classify_balance(matrix_from_rows([[2, 1], [1, 2]]))
         assert rep.fully_balanced == (rep.horizontally_balanced and rep.vertically_balanced)
         assert rep.max_defect == max(rep.horizontal_defect, rep.vertical_defect)
+
+    def test_max_defect_keeps_a_nan_in_either_orientation(self):
+        # Column 0's square sum overflows beside column 1's 0.0, so the
+        # vertical defect is nan while the horizontal one is 0.0.
+        m = matrix_from_rows([[1.3e154, 0], [1.3e154, 0]])
+        for a in (m, transpose(m)):
+            assert math.isnan(classify_balance(a).max_defect)
+        assert math.isnan(nan_max(0.0, math.nan)) and math.isnan(nan_max(math.nan, 0.0))
+        assert [nan_max(x, y) for x, y in ((1.0, 2.0), (2.0, 1.0))] == [2.0, 2.0]
+        assert [math.copysign(1.0, nan_max(x, y)) for x, y in ((0.0, -0.0), (-0.0, 0.0))] == [1.0, -1.0]
 
     def test_loose_tolerance_admits_near_balanced(self):
         m = matrix_from_rows([[2, 1.01], [0.99, 2.02]])

@@ -213,6 +213,17 @@ class TestCommands:
         assert out == ""
         assert "non-finite" in err
 
+    def test_det_overflowing_determinant(self, tmp_path):
+        # The scale factors' product, 1e-600, underflows to 0.0.
+        p = tmp_path / "big.csv"
+        p.write_text("1e200,0,0\n0,1e200,0\n0,0,1e200\n")
+        code, out, _ = run_cli(["det", str(p)])
+        assert code == 0
+        assert out.endswith("result:\n  determinant: inf\n  rank: 3\n  trail_length: 3\n")
+        code, out, _ = run_cli(["det", str(p), "--format", "json"])
+        assert code == 0
+        assert '"determinant": Infinity,' in out
+
     def test_interior(self, tmp_path):
         p = tmp_path / "id3.csv"
         p.write_text("1,0,0\n0,1,0\n0,0,1\n")

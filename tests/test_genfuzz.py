@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -28,6 +29,7 @@ from balmat.genfuzz import (
     _gaussians,
     _generate_with,
     _householder_kernel,
+    _householder_loop,
     _householder_source,
     _mix,
     _scaled_orthogonal,
@@ -155,6 +157,17 @@ class TestGenerate:
 #: Both sides of the bound on compiled Householder kernels.
 ORTHOGONAL_DIMS = list(range(1, _KERNEL_MAX_N + 3))
 
+#: (draw, n): the sampler at every n above, and the loop called directly at
+#: every n it serves a sampler for, so it is pinned where a kernel runs too.
+ORTHOGONAL_DRAWS = [("sampler", n) for n in ORTHOGONAL_DIMS] + [("loop", n) for n in ORTHOGONAL_DIMS[1:]]
+
+
+def draw_orthogonal(draw, rng, n):
+    """Flat row-major Q from `_scaled_orthogonal` or from `_householder_loop`."""
+    if draw == "loop":
+        return flat(_householder_loop(_gaussians(rng, n * n), n))
+    return _scaled_orthogonal(rng, n, 1.0)
+
 
 def hexes(values):
     return [v.hex() for v in values]
@@ -211,15 +224,15 @@ class TestGaussianDraws:
             assert repr(got_rng.gauss_next) == repr(want_rng.gauss_next)
 
     @pytest.mark.parametrize("pending", [False, True])
-    @pytest.mark.parametrize("n", ORTHOGONAL_DIMS)
-    def test_random_orthogonal_matches_the_householder_oracle(self, n, pending):
+    @pytest.mark.parametrize("draw, n", ORTHOGONAL_DRAWS)
+    def test_random_orthogonal_matches_the_householder_oracle(self, draw, n, pending):
         for seed in range(40):
             want_rng, got_rng = rng_pair(seed, pending)
-            assert hexes(_scaled_orthogonal(got_rng, n, 1.0)) == hexes(flat(oracles.random_orthogonal(want_rng, n)))
+            assert hexes(draw_orthogonal(draw, got_rng, n)) == hexes(flat(oracles.random_orthogonal(want_rng, n)))
             assert got_rng.getstate() == want_rng.getstate()
 
-    @pytest.mark.parametrize("n", ORTHOGONAL_DIMS[1:])
-    def test_random_orthogonal_with_zero_columns(self, n):
+    @pytest.mark.parametrize("draw, n", [(draw, n) for draw, n in ORTHOGONAL_DRAWS if n > 1])
+    def test_random_orthogonal_with_zero_columns(self, draw, n):
         # A zero column k makes step k see norm == 0.0 and skip; with
         # column 0 zero, Q is first built at a later step, and with every
         # column zero it stays the identity.
@@ -230,7 +243,7 @@ class TestGaussianDraws:
             script = zero_column_script(n, zero_cols, seed=100 * n + trial)
             sample = _gaussians(ScriptedRandom(script), n * n)
             assert all(sample[i * n + j] == 0.0 for i in range(n) for j in zero_cols)
-            got = hexes(_scaled_orthogonal(ScriptedRandom(script), n, 1.0))
+            got = hexes(draw_orthogonal(draw, ScriptedRandom(script), n))
             assert got == hexes(flat(oracles.random_orthogonal(ScriptedRandom(script), n)))
             if len(zero_cols) == n:
                 assert got == hexes(float(i == j) for i in range(n) for j in range(n))
@@ -274,6 +287,14 @@ class TestHouseholderKernel:
 
 
 class TestCampaigns:
+    def test_worst_slack_keeps_a_nan_slack(self):
+        # Entries near 5e153 leave square sums near the float limit, and
+        # scaling by |lam| >= 1 overflows some: their slack is nan.
+        spec = GenSpec(kind="constant", n=2, entry_low=4e153, entry_high=6e153, seed=1)
+        report = fuzz_campaign("closure_scale", spec, 50)
+        assert report.violations == 28
+        assert math.isnan(report.worst_slack)
+
     def test_unknown_property(self):
         with pytest.raises(ConfigurationError):
             fuzz_campaign("no_such_property", GenSpec(kind="symmetric2", seed=1), 5)
@@ -588,6 +609,8 @@ NOT_APPLICABLE = [
     pytest.param("closure_inverse", (constant_matrix(2, 2, 1.0),), 2, "singular", id="inverse-singular"),
     pytest.param("closure_scale", (constant_matrix(2, 2, 0.5), Matrix(1, 1, (2.0,))), 2,
                  "square-sums-below-1", id="scale-square-sums-below-1"),
+    pytest.param("closure_scale", (matrix_from_rows([[1e308]]), Matrix(1, 1, (2.0,))), 2,
+                 "scaled-overflows", id="scale-scaled-overflows"),
     pytest.param("det_nonzero", (WIDE,), 2, "not-square", id="det_nonzero-not-square"),
     pytest.param("det_nonzero", (UNBAL2,), 2, "not-balanced", id="det_nonzero-not-balanced"),
     pytest.param("det_nonzero", (matrix_from_rows([[1, -1], [1, 1]]),), 2, "equal-moduli",
@@ -653,3 +676,47 @@ class TestNotApplicable:
             inputs = prop.make_inputs(random.Random(_mix(spec.seed, index)), spec, ctx)
             assert inputs == seen
             assert (replay_counterexample(name, inputs, **kwargs) is None) == not_applicable
+
+
+def permutation_matrix(cols, value=1.0):
+    """Row i holds `value` in column cols[i] and zeros elsewhere."""
+    n = len(cols)
+    return Matrix(n, n, tuple(value if j == c else 0.0 for c in cols for j in range(n)))
+
+
+#: Inputs with zero blocks, zero lines and overflowing square sums.
+CONTRACT_INPUTS = [
+    permutation_matrix(cols, value)
+    for n in range(1, 6)
+    for cols in itertools.permutations(range(n))
+    for value in (1.0, 1e150)
+] + [
+    matrix_from_rows([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]),
+    matrix_from_rows([[1.3e154, 0], [1.3e154, 0]]),
+    matrix_from_rows([[1.3e154, 1.3e154], [0, 0]]),
+    matrix_from_rows([[1e200, 1e200], [1e200, 2e200]]),
+    matrix_from_rows([[1e308]]),
+]
+
+PAIR_PROPERTIES = {"closure_add", "closure_mul", "emax_additivity", "det_homomorphism", "det_homomorphism_n"}
+
+
+class TestReplayContract:
+    """Replay returns None or a `CheckRecord`, whatever the input."""
+
+    @pytest.mark.parametrize("name", sorted(PROPERTIES))
+    def test_replay_raises_nothing(self, name):
+        assert len(CONTRACT_INPUTS) == 311
+        for m in CONTRACT_INPUTS:
+            if name == "closure_scale":
+                inputs = (m, Matrix(1, 1, (2.0,)))
+            else:
+                inputs = (m, m) if name in PAIR_PROPERTIES else (m,)
+            record = replay_counterexample(name, inputs)
+            assert record is None or isinstance(record, CheckRecord)
+
+    def test_an_all_zero_closest_block_is_a_violation(self):
+        # Every 2x2 and 3x3 interior of this permutation matrix is
+        # unbalanced, and the closest is all zeros, with defect 0.0.
+        record = replay_counterexample("interior_conjecture", (permutation_matrix((1, 3, 0, 2)),))
+        assert record == CheckRecord("interior_conjecture", False, 0.0, 0.0, 1.0)
