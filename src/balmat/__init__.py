@@ -27,7 +27,7 @@ _EXPORTS = {
          "fairness_transfer_check find_balanced_interior interior one_fair_row_check"),
         ("errors", "BalmatError ConfigurationError DimensionError HypothesisError InvalidInputError ParseError "
          "SingularMatrixError SymmetryError UnsupportedDimensionError"),
-        ("genfuzz", "PROPERTIES Counterexample FuzzReport GenSpec fuzz_campaign generate replay_counterexample"),
+        ("genfuzz", "PROPERTIES Counterexample FuzzContext FuzzReport GenSpec fuzz_campaign generate replay_counterexample"),
         ("spectral2", "Spectrum2 SpectrumEstimate det_homomorphism_check emax_additivity_check estimate_spectrum2 "
          "exact_spectrum2 quadform_branch_select quadform_eval quadform_predict trace_entry_check"),
     )

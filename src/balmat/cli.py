@@ -39,11 +39,12 @@ if TYPE_CHECKING:
 def parse_matrix_csv(text: str) -> Matrix:
     """Parse comma-separated rows into a Matrix.
 
-    Whitespace around fields is ignored; signs and exponents are accepted;
-    trailing blank lines are permitted. Ragged rows and non-numeric fields
-    raise ParseError with the offending line (and column).
+    Whitespace around fields and one leading byte-order mark are ignored;
+    signs and exponents are accepted; trailing blank lines are permitted.
+    Ragged rows and non-numeric fields raise ParseError with the offending
+    line (and column).
     """
-    lines = text.split("\n")
+    lines = text.removeprefix("\ufeff").split("\n")
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
@@ -294,7 +295,7 @@ def _cmd_interior(ns: argparse.Namespace, a: Matrix) -> dict:
 
 
 def _cmd_fuzz(ns: argparse.Namespace) -> dict:
-    from balmat.genfuzz import GenSpec, fuzz_campaign
+    from balmat.genfuzz import FuzzContext, GenSpec, fuzz_campaign
 
     spec = GenSpec(
         kind=ns.kind,
@@ -304,17 +305,8 @@ def _cmd_fuzz(ns: argparse.Namespace) -> dict:
         noise=ns.noise,
         seed=ns.seed,
     )
-    report = fuzz_campaign(
-        ns.property,
-        spec,
-        ns.trials,
-        _tolerance(ns),
-        ns.fair_eps,
-        unfair_theta=ns.unfair_theta,
-        pivot_tol=ns.pivot_tol,
-        min_dim=ns.min_dim,
-    )
-    return _fuzz_dict(report)
+    ctx = FuzzContext(_tolerance(ns), ns.fair_eps, ns.unfair_theta, ns.pivot_tol, ns.min_dim)
+    return _fuzz_dict(fuzz_campaign(ns.property, spec, ns.trials, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +421,7 @@ def run(ns: argparse.Namespace, out=None, err=None) -> int:
             with open(input_path, "r", encoding="utf-8") as fh:
                 a = parse_matrix_csv(fh.read())
             result = handler(ns, a)
-    except (BalmatError, OSError) as exc:
+    except (BalmatError, OSError, UnicodeDecodeError) as exc:
         print(f"balmat {ns.command}: error: {exc}", file=err)
         return 1
     except Exception:

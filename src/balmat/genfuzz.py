@@ -364,13 +364,13 @@ def generate(spec: GenSpec) -> Matrix:
 
 @dataclass(frozen=True)
 class FuzzContext:
-    """Check parameters shared by every trial of a campaign."""
+    """Check parameters shared by every trial of a campaign; the CLI's defaults."""
 
-    tol: TolerancePolicy
-    fair_eps: float
-    unfair_theta: float
-    pivot_tol: float
-    min_dim: int
+    tol: TolerancePolicy = DEFAULT_TOL
+    fair_eps: float = 0.1
+    unfair_theta: float = 1.0
+    pivot_tol: float = 1e-10
+    min_dim: int = 2
 
 
 @dataclass(frozen=True)
@@ -819,48 +819,37 @@ PROPERTIES: dict[str, PropertyDef] = {
 }
 
 
-def _property_and_context(
-    property_name: str,
-    tol: TolerancePolicy,
-    fair_eps: float,
-    unfair_theta: float | None,
-    pivot_tol: float,
-    min_dim: int,
-) -> tuple[PropertyDef, FuzzContext]:
-    """The registered property and its trials' check parameters."""
+#: A campaign stores the first this many violating trials as counterexamples.
+MAX_COUNTEREXAMPLES = 100
+
+
+def _property(property_name: str, ctx: FuzzContext) -> PropertyDef:
+    """The registered property, once `ctx` is known to be a FuzzContext."""
+    if not isinstance(ctx, FuzzContext):
+        raise ConfigurationError(f"ctx must be a FuzzContext, got {type(ctx).__name__}")
     prop = PROPERTIES.get(property_name)
     if prop is None:
         raise ConfigurationError(
             f"unknown property {property_name!r}; known: {', '.join(sorted(PROPERTIES))}"
         )
-    theta = 10.0 * fair_eps if unfair_theta is None else unfair_theta
-    return prop, FuzzContext(tol, fair_eps, theta, pivot_tol, min_dim)
+    return prop
 
 
 def fuzz_campaign(
-    property_name: str,
-    spec: GenSpec,
-    trials: int,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    fair_eps: float = 0.1,
-    *,
-    unfair_theta: float | None = None,
-    pivot_tol: float = 1e-10,
-    min_dim: int = 2,
-    max_counterexamples: int = 100,
+    property_name: str, spec: GenSpec, trials: int, ctx: FuzzContext = FuzzContext()
 ) -> FuzzReport:
     """Run a named check over `trials` freshly generated inputs.
 
     A trial is not applicable exactly when its check raises HypothesisError,
     whose `hypothesis` names the premise that failed. Violating trials are
-    stored as replayable counterexamples, capped at `max_counterexamples`.
-    unfair_theta defaults to 10 * fair_eps.
+    stored as replayable counterexamples, the first `MAX_COUNTEREXAMPLES`
+    of them.
     """
-    prop, ctx = _property_and_context(property_name, tol, fair_eps, unfair_theta, pivot_tol, min_dim)
+    prop = _property(property_name, ctx)
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ConfigurationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
-    if max_counterexamples < 1:
-        raise ConfigurationError("max_counterexamples must be at least 1")
     passes = violations = not_applicable = 0
     worst_slack: float | None = None
     counterexamples: list[Counterexample] = []
@@ -885,7 +874,7 @@ def fuzz_campaign(
             passes += 1
         else:
             violations += 1
-            if len(counterexamples) < max_counterexamples:
+            if len(counterexamples) < MAX_COUNTEREXAMPLES:
                 counterexamples.append(Counterexample(tuple(inputs), record))
     return FuzzReport(
         property_name=property_name,
@@ -901,21 +890,14 @@ def fuzz_campaign(
 
 
 def replay_counterexample(
-    property_name: str,
-    matrices: tuple[Matrix, ...],
-    tol: TolerancePolicy = DEFAULT_TOL,
-    fair_eps: float = 0.1,
-    *,
-    unfair_theta: float | None = None,
-    pivot_tol: float = 1e-10,
-    min_dim: int = 2,
+    property_name: str, matrices: tuple[Matrix, ...], ctx: FuzzContext = FuzzContext()
 ) -> CheckRecord | None:
     """Re-run a property's check on stored counterexample inputs.
 
     None exactly when the check raises HypothesisError, the test by which
     `fuzz_campaign` counts a trial not applicable.
     """
-    prop, ctx = _property_and_context(property_name, tol, fair_eps, unfair_theta, pivot_tol, min_dim)
+    prop = _property(property_name, ctx)
     try:
         record = prop.check(tuple(matrices), ctx)
     except HypothesisError:

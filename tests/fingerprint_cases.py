@@ -22,7 +22,7 @@ import json
 import sys
 
 from balmat.core import TolerancePolicy
-from balmat.genfuzz import GenSpec, fuzz_campaign
+from balmat.genfuzz import FuzzContext, GenSpec, fuzz_campaign
 
 import oracles
 
@@ -32,7 +32,7 @@ def fingerprint(report) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# (property, GenSpec kwargs, trials, fuzz_campaign kwargs)
+# (property, GenSpec kwargs, trials, FuzzContext kwargs)
 CASES = [
     ("closure_add", dict(kind="symmetric2", seed=21), 200, {}),
     ("closure_add", dict(kind="perturbed", noise=0.2, seed=7), 200, {}),
@@ -100,7 +100,7 @@ CASES = [
 
 def run_case(case):
     prop, spec, trials, kwargs = case
-    return fuzz_campaign(prop, GenSpec(**spec), trials, **kwargs)
+    return fuzz_campaign(prop, GenSpec(**spec), trials, FuzzContext(**kwargs))
 
 
 def case_id(case) -> str:

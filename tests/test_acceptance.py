@@ -18,7 +18,7 @@ from balmat.balance import balance_defect, classify_balance
 from balmat.cli import parse_matrix_csv, serialize_csv
 from balmat.core import TolerancePolicy, constant_matrix, matrix_from_rows
 from balmat.discrepancy import discrepancy_report, fairness_transfer_check
-from balmat.genfuzz import GenSpec, Matrix, fuzz_campaign, generate, replay_counterexample
+from balmat.genfuzz import FuzzContext, GenSpec, Matrix, fuzz_campaign, generate, replay_counterexample
 from balmat.spectral2 import (
     det_homomorphism_check,
     estimate_spectrum2,
@@ -260,8 +260,9 @@ def test_criterion_7_conjecture_instrumentation():
     ]
     saw_counterexample = False
     for name, spec, tol in campaigns:
-        first = fuzz_campaign(name, spec, 200, tol, fair_eps=0.1)
-        second = fuzz_campaign(name, spec, 200, tol, fair_eps=0.1)
+        ctx = FuzzContext(tol, fair_eps=0.1)
+        first = fuzz_campaign(name, spec, 200, ctx)
+        second = fuzz_campaign(name, spec, 200, ctx)
         if first != second:
             ok = False
         if first.passes + first.violations + first.not_applicable != 200:
@@ -270,7 +271,7 @@ def test_criterion_7_conjecture_instrumentation():
             ok = False
         for cex in first.counterexamples:
             saw_counterexample = True
-            replayed = replay_counterexample(name, cex.matrices, tol, fair_eps=0.1)
+            replayed = replay_counterexample(name, cex.matrices, ctx)
             if replayed is None or replayed.holds:
                 ok = False
     ok = ok and saw_counterexample  # the instrument must actually record evidence

@@ -23,7 +23,9 @@ from balmat.cli import (
 )
 from balmat.core import TolerancePolicy, matrix_from_rows
 from balmat.errors import ParseError
-from balmat.genfuzz import GenSpec, fuzz_campaign
+from balmat.genfuzz import FuzzContext, GenSpec, fuzz_campaign
+
+from test_imports import FILE_COMMANDS
 
 
 def run_cli(argv, cwd_file_content=None):
@@ -63,6 +65,12 @@ class TestParseMatrixCsv:
         with pytest.raises(ParseError) as e:
             parse_matrix_csv("1,2\n3,x\n")
         assert e.value.line == 2 and e.value.column == 2
+
+    def test_one_leading_byte_order_mark_dropped(self):
+        assert parse_matrix_csv("\ufeff2,1\n1,2\n") == parse_matrix_csv("2,1\n1,2\n")
+        with pytest.raises(ParseError) as e:
+            parse_matrix_csv("\ufeff\ufeff2,1\n1,2\n")
+        assert e.value.line == 1 and e.value.column == 1
 
     def test_trailing_blank_lines_ok(self):
         assert parse_matrix_csv("1,2\n3,4\n\n\n").shape == (2, 2)
@@ -273,6 +281,24 @@ class TestCommands:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_bytes_not_utf8_exit_1(self, tmp_path, command):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"3,4\n4,\xff3\n")
+        code, out, err = run_cli([command, str(p)])
+        assert (code, out) == (1, "")
+        assert err == f"balmat {command}: error: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_byte_order_mark_ignored(self, tmp_path, command):
+        # interior needs a matrix larger than its smallest interior (2x2)
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"3,4,0\n4,3,0\n0,0,5\n" if command == "interior" else b"3,4\n4,3\n")
+        plain = run_cli([command, str(p), "--format", "json"])
+        assert plain[0] == 0, plain[2]
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        assert run_cli([command, str(p), "--format", "json"]) == plain
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -407,7 +433,7 @@ class TestParams:
     """The "params" echo: which settings each command reports, and their values."""
 
     def test_fuzz_uses_the_cli_theta_default(self):
-        # The CLI's --theta default is 1.0, not the library's 10 * fair_eps.
+        # The CLI's --theta default is the library's: 1.0 whatever fair_eps is.
         argv = ["fuzz", "--property", "one_fair_row", "--kind", "constant", "--n", "4"]
         argv += ["--fair-eps", "0.2", "--rtol", "0.1", "--trials", "20", "--format", "json"]
         code, out, err = run_cli(argv)
@@ -415,9 +441,9 @@ class TestParams:
         doc = json.loads(out)
         assert doc["params"]["unfair_theta"] == 1.0
         spec, tol = GenSpec(kind="constant", n=4), TolerancePolicy(rtol=0.1, atol=1e-9)
-        expected = fuzz_campaign("one_fair_row", spec, 20, tol, 0.2, unfair_theta=1.0)
-        # the two defaults give different campaigns, so the test tells them apart
-        assert expected != fuzz_campaign("one_fair_row", spec, 20, tol, 0.2)
+        expected = fuzz_campaign("one_fair_row", spec, 20, FuzzContext(tol, 0.2))
+        # another theta gives another campaign, so the test tells them apart
+        assert expected != fuzz_campaign("one_fair_row", spec, 20, FuzzContext(tol, 0.2, unfair_theta=2.0))
         assert doc["result"]["passes"] == expected.passes
         assert doc["result"]["violations"] == expected.violations
         assert doc["result"]["not_applicable"] == expected.not_applicable

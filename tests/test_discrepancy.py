@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from balmat import _kernels
 from balmat.algebra import transpose
 from balmat.balance import classify_balance
-from balmat.core import DEFAULT_TOL, TolerancePolicy, constant_matrix, identity, matrix_from_rows
+from balmat.core import TolerancePolicy, constant_matrix, identity, matrix_from_rows
 from balmat.discrepancy import (
     _interiors_balanced,
     _scan_interiors,
@@ -330,18 +330,18 @@ class TestScanInteriors:
 class TestInteriorConjectureCheck:
     def test_min_dim_below_two_is_invalid(self):
         with pytest.raises(InvalidInputError):
-            replay_counterexample("interior_conjecture", (identity(4),), min_dim=1)
+            replay_counterexample("interior_conjecture", (identity(4),), FuzzContext(min_dim=1))
 
     def test_unbalanced_input_fails_the_gate(self):
         m = matrix_from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        ctx = FuzzContext(DEFAULT_TOL, 0.1, 1.0, 1e-10, 2)
+        ctx = FuzzContext()
         with pytest.raises(HypothesisError) as e:
             PROPERTIES["interior_conjecture"].check((m,), ctx)
         assert e.value.hypothesis == "not-balanced"
         assert replay_counterexample("interior_conjecture", (m,)) is None
 
     def test_too_small_is_not_applicable(self):
-        assert replay_counterexample("interior_conjecture", (identity(3),), min_dim=3) is None
+        assert replay_counterexample("interior_conjecture", (identity(3),), FuzzContext(min_dim=3)) is None
 
     def test_violation_reports_the_best_block(self):
         m = generate(GenSpec(kind="scaled_orthogonal", n=5, seed=3))
@@ -394,7 +394,7 @@ class TestInteriorFairCorollaryCheck:
 
     @staticmethod
     def replay(m, tol, fair_eps):
-        return replay_counterexample("interior_fair_corollary", (m,), tol, fair_eps)
+        return replay_counterexample("interior_fair_corollary", (m,), FuzzContext(tol, fair_eps))
 
     @pytest.mark.parametrize("seed", range(48))
     def test_matches_reference(self, seed):

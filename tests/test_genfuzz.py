@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -7,7 +8,9 @@ import pytest
 
 import oracles
 from balmat import _kernels, spectral2
+from balmat.algebra import det_via_trail, rref_with_trail
 from balmat.balance import balance_defect, classify_balance
+from balmat.cli import _tolerance, build_parser
 from balmat.core import (
     DEFAULT_TOL,
     CheckRecord,
@@ -17,9 +20,16 @@ from balmat.core import (
     identity,
     matrix_from_rows,
 )
+from balmat.discrepancy import (
+    fairness_propagation_check,
+    fairness_transfer_check,
+    find_balanced_interior,
+    one_fair_row_check,
+)
 from balmat.errors import ConfigurationError, HypothesisError, UnsupportedDimensionError
 from balmat.genfuzz import (
     DEFECT_FLOOR,
+    MAX_COUNTEREXAMPLES,
     PROPERTIES,
     _KERNEL_MAX_N,
     FuzzContext,
@@ -313,6 +323,20 @@ class TestCampaigns:
         with pytest.raises(ConfigurationError):
             fuzz_campaign("closure_add", GenSpec(kind="symmetric2", seed=1), 0)
 
+    @pytest.mark.parametrize("trials", [True, 2.5, "3", None])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ConfigurationError, match="trials must be an integer"):
+            fuzz_campaign("closure_add", GenSpec(kind="symmetric2", seed=1), trials)
+
+    def test_ctx_must_be_a_fuzz_context(self):
+        # A tolerance in the context's place must not pass unnoticed:
+        # closure_scale never reads its context, so only this guard sees it.
+        message = "^ctx must be a FuzzContext, got TolerancePolicy$"
+        with pytest.raises(ConfigurationError, match=message):
+            fuzz_campaign("closure_scale", GenSpec(kind="constant", seed=1), 5, DEFAULT_TOL)
+        with pytest.raises(ConfigurationError, match=message):
+            replay_counterexample("closure_add", (BAL2, BAL2), DEFAULT_TOL)
+
     def test_counts_add_up(self):
         rep = fuzz_campaign("closure_add", GenSpec(kind="perturbed", n=2, noise=0.2, seed=7), 200)
         assert rep.passes + rep.violations + rep.not_applicable == rep.trials
@@ -362,7 +386,7 @@ class TestCampaigns:
             "estimator_scaling",
             GenSpec(kind="symmetric2", noise=0.05, seed=29),
             300,
-            tol=TolerancePolicy(rtol=0.3, atol=1e-9),
+            FuzzContext(TolerancePolicy(rtol=0.3, atol=1e-9)),
         )
         assert rep.violations == 0
         assert len(rep.defect_error_pairs) > 0
@@ -373,9 +397,7 @@ class TestCampaigns:
             "one_fair_row",
             GenSpec(kind="constant", n=4, seed=30),
             100,
-            tol=TolerancePolicy(rtol=0.05, atol=1e-9),
-            fair_eps=0.1,
-            unfair_theta=1.0,
+            FuzzContext(TolerancePolicy(rtol=0.05, atol=1e-9), fair_eps=0.1, unfair_theta=1.0),
         )
         assert rep.passes > 0
         assert rep.violations == 0
@@ -401,14 +423,14 @@ class TestCampaigns:
         # test unfair while columns test fair at the widened budget, which
         # the transfer check reports as a violation
         m = matrix_from_rows([[2.0, 1.0], [1.0, 2.0]])
-        rec = replay_counterexample("fairness_transfer", (m,), fair_eps=0.4)
+        rec = replay_counterexample("fairness_transfer", (m,), FuzzContext(fair_eps=0.4))
         assert rec is not None and not rec.holds
 
     def test_counterexamples_capped(self):
         spec = GenSpec(kind="scaled_orthogonal", n=4, seed=33)
-        rep = fuzz_campaign("interior_conjecture", spec, 150, max_counterexamples=10)
-        assert len(rep.counterexamples) <= 10
-        assert bool(rep.counterexamples) == (rep.violations > 0)
+        rep = fuzz_campaign("interior_conjecture", spec, 150)
+        assert rep.violations > MAX_COUNTEREXAMPLES
+        assert len(rep.counterexamples) == MAX_COUNTEREXAMPLES
 
     def test_quadform_property_clean(self):
         rep = fuzz_campaign("quadform_predict", GenSpec(kind="symmetric2", seed=34), 300)
@@ -426,8 +448,7 @@ class TestCampaigns:
         rep = fuzz_campaign(
             "fairness_transfer", GenSpec(kind="constant", n=3, noise=0.01, seed=37),
             200,
-            tol=TolerancePolicy(rtol=0.2, atol=1e-9),
-            fair_eps=0.1,
+            FuzzContext(TolerancePolicy(rtol=0.2, atol=1e-9), fair_eps=0.1),
         )
         assert rep.passes + rep.not_applicable == 200
 
@@ -436,8 +457,7 @@ class TestCampaigns:
             "det_homomorphism",
             GenSpec(kind="symmetric2", seed=38),
             200,
-            tol=TolerancePolicy(rtol=0.2, atol=1e-9),
-            fair_eps=0.1,
+            FuzzContext(TolerancePolicy(rtol=0.2, atol=1e-9), fair_eps=0.1),
         )
         assert rep.violations == 0
         assert rep.passes > 0
@@ -447,8 +467,7 @@ class TestCampaigns:
             "det_homomorphism_n",
             GenSpec(kind="constant", n=3, seed=39),
             100,
-            tol=TolerancePolicy(rtol=0.2, atol=1e-9),
-            fair_eps=0.1,
+            FuzzContext(TolerancePolicy(rtol=0.2, atol=1e-9), fair_eps=0.1),
         )
         assert rep.passes > 0
 
@@ -457,8 +476,7 @@ class TestCampaigns:
             "edos",
             GenSpec(kind="perturbed", n=4, noise=0.05, seed=40),
             100,
-            tol=TolerancePolicy(rtol=0.25, atol=1e-9),
-            fair_eps=0.1,
+            FuzzContext(TolerancePolicy(rtol=0.25, atol=1e-9), fair_eps=0.1),
         )
         assert isinstance(rep, FuzzReport)
         assert rep.passes + rep.violations + rep.not_applicable == 100
@@ -468,8 +486,7 @@ class TestCampaigns:
             "interior_fair_corollary",
             GenSpec(kind="constant", n=4, noise=0.01, seed=41),
             100,
-            tol=TolerancePolicy(rtol=0.1, atol=1e-9),
-            fair_eps=0.1,
+            FuzzContext(TolerancePolicy(rtol=0.1, atol=1e-9), fair_eps=0.1),
         )
         assert rep.passes > 0
         assert rep.violations == 0
@@ -481,7 +498,7 @@ class TestCampaigns:
             "estimator_scaling",
             GenSpec(kind="symmetric2", entry_low=2.0, noise=0.5, seed=44),
             400,
-            tol=TolerancePolicy(rtol=0.9, atol=1e-6),
+            FuzzContext(TolerancePolicy(rtol=0.9, atol=1e-6)),
         )
         pairs = sorted(rep.defect_error_pairs)
         assert len(pairs) >= 100
@@ -496,7 +513,7 @@ class TestCampaigns:
                 name,
                 GenSpec(kind="perturbed", n=2, noise=0.01, seed=42),
                 20,
-                tol=TolerancePolicy(rtol=0.2, atol=1e-9),
+                FuzzContext(TolerancePolicy(rtol=0.2, atol=1e-9)),
             )
             assert rep.trials == 20
 
@@ -504,6 +521,37 @@ class TestCampaigns:
         # The benchmark's tracer reads `PropertyDef.metrics`; the field stays
         # until the benchmark stops reading it.
         assert all(prop.metrics is None for prop in PROPERTIES.values())
+
+
+class TestOneConfiguration:
+    def test_one_default_per_parameter_and_the_benchmark_calls(self):
+        ctx = FuzzContext()
+        assert ctx.tol == DEFAULT_TOL
+        ns = build_parser().parse_args(["fuzz", "--property", "closure_add", "--kind", "constant"])
+        assert FuzzContext(_tolerance(ns), ns.fair_eps, ns.unfair_theta, ns.pivot_tol, ns.min_dim) == ctx
+        defaults = {field.name: getattr(ctx, field.name) for field in dataclasses.fields(ctx)}
+        checks = (
+            one_fair_row_check,
+            fairness_transfer_check,
+            fairness_propagation_check,
+            spectral2.det_homomorphism_check,
+            rref_with_trail,
+            det_via_trail,
+            find_balanced_interior,
+        )
+        for fn in checks:
+            shared = {name: p.default for name, p in inspect.signature(fn).parameters.items() if name in defaults}
+            assert shared, fn.__name__
+            assert shared == {name: defaults[name] for name in shared}, fn.__name__
+        # The benchmark's calls: three and two positional arguments, a cap
+        # of 100 stored counterexamples, each replaying to a violation.
+        prop, spec = "interior_conjecture", GenSpec(kind="scaled_orthogonal", n=4, seed=33)
+        report = fuzz_campaign(prop, spec, 150)
+        assert report.violations > 100
+        assert len(report.counterexamples) == min(report.violations, 100)
+        for cex in report.counterexamples:
+            record = replay_counterexample(prop, cex.matrices)
+            assert record is not None and not record.holds
 
 
 class TestWorkPerTrial:
@@ -549,7 +597,7 @@ class TestWorkPerTrial:
             "interior_fair_corollary",
             GenSpec(kind="constant", n=6, noise=0.01, seed=48),
             10,
-            tol=TolerancePolicy(rtol=0.1, atol=1e-9),
+            FuzzContext(TolerancePolicy(rtol=0.1, atol=1e-9)),
         )
         assert rep.passes == 10
         assert built[0] == square_sums[0] == 10
@@ -646,11 +694,11 @@ class TestNotApplicable:
 
     @pytest.mark.parametrize("name, inputs, min_dim, hypothesis", NOT_APPLICABLE)
     def test_each_exit_names_its_hypothesis(self, name, inputs, min_dim, hypothesis):
-        ctx = FuzzContext(DEFAULT_TOL, 0.1, 1.0, 1e-10, min_dim)
+        ctx = FuzzContext(min_dim=min_dim)
         with pytest.raises(HypothesisError) as exc:
             PROPERTIES[name].check(inputs, ctx)
         assert exc.value.hypothesis == hypothesis
-        assert replay_counterexample(name, inputs, min_dim=min_dim) is None
+        assert replay_counterexample(name, inputs, ctx) is None
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)
     def test_replay_is_none_for_exactly_the_not_applicable_trials(self, monkeypatch, case):
@@ -669,13 +717,13 @@ class TestNotApplicable:
             return record
 
         monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, check=recording))
-        report = fuzz_campaign(name, spec, trials, **kwargs)
+        report = fuzz_campaign(name, spec, trials, FuzzContext(**kwargs))
         monkeypatch.undo()  # replay runs the registered check
         assert sum(na for _, _, na in outcomes) == report.not_applicable
         for index, (seen, ctx, not_applicable) in enumerate(outcomes):
             inputs = prop.make_inputs(random.Random(_mix(spec.seed, index)), spec, ctx)
             assert inputs == seen
-            assert (replay_counterexample(name, inputs, **kwargs) is None) == not_applicable
+            assert (replay_counterexample(name, inputs, ctx) is None) == not_applicable
 
 
 def permutation_matrix(cols, value=1.0):
