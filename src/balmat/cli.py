@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import isfinite
 from typing import TYPE_CHECKING
 
 # Only what every command needs loads here; each handler imports the module
@@ -41,8 +42,8 @@ def parse_matrix_csv(text: str) -> Matrix:
 
     Whitespace around fields and one leading byte-order mark are ignored;
     signs and exponents are accepted; trailing blank lines are permitted.
-    Ragged rows and non-numeric fields raise ParseError with the offending
-    line (and column).
+    Ragged rows and non-numeric or non-finite fields raise ParseError with
+    the offending line (and column).
     """
     lines = text.removeprefix("\ufeff").split("\n")
     while lines and lines[-1].strip() == "":
@@ -61,12 +62,28 @@ def parse_matrix_csv(text: str) -> Matrix:
                 row.append(float(token))
             except ValueError:
                 raise ParseError(f"not a number: {token!r}", line=line_no, column=col_no) from None
+            if not isfinite(row[-1]):
+                raise ParseError(f"not a finite number: {token!r}", line=line_no, column=col_no)
         if rows and len(row) != len(rows[0]):
             raise ParseError(
                 f"row has {len(row)} fields, expected {len(rows[0])}", line=line_no
             )
         rows.append(row)
     return matrix_from_rows(rows)
+
+
+def _read_matrix_csv(path: str) -> Matrix:
+    """Parse the UTF-8 CSV file at `path`; lines end at LF, CR LF or CR, as in text mode."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # A bad byte's column is the field it sits in, as for a bad token.
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        line, column = data.count(b"\n", 0, start) + 1, data.count(b",", start, exc.start) + 1
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line, column) from None
+    return parse_matrix_csv(text)
 
 
 def serialize_csv(a: Matrix) -> str:
@@ -415,13 +432,8 @@ def run(ns: argparse.Namespace, out=None, err=None) -> int:
     _, handler, _ = _COMMANDS[ns.command]
     input_path = getattr(ns, "input", None)  # `fuzz` reads no file
     try:
-        if input_path is None:
-            result = handler(ns)
-        else:
-            with open(input_path, "r", encoding="utf-8") as fh:
-                a = parse_matrix_csv(fh.read())
-            result = handler(ns, a)
-    except (BalmatError, OSError, UnicodeDecodeError) as exc:
+        result = handler(ns) if input_path is None else handler(ns, _read_matrix_csv(input_path))
+    except (BalmatError, OSError) as exc:
         print(f"balmat {ns.command}: error: {exc}", file=err)
         return 1
     except Exception:

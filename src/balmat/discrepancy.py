@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import add
 
 from balmat import _kernels
-from balmat.balance import BalanceReport, require_balanced, require_positive
+from balmat.balance import BalanceReport, classify_balance, require_balanced, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy
 from balmat.errors import DimensionError, InvalidInputError
 
@@ -189,7 +189,7 @@ def _scan_interiors(a: Matrix, tol: TolerancePolicy, min_dim: int) -> tuple[Inte
     max(horizontal, vertical) defect among the blocks visited up to it.
     Each block's square sums are slices of one run-sum table, so its sums,
     defects and verdict equal `classify_balance` of the block bit for bit.
-    Only the match and balanced blocks of all-zero square sums are built.
+    Only a block that passes both closeness tests is built and classified.
     """
     n = a.n_rows
     by_cols, by_rows = _run_square_sums(a)
@@ -204,19 +204,16 @@ def _scan_interiors(a: Matrix, tol: TolerancePolicy, min_dim: int) -> tuple[Inte
             for c0, row_run in enumerate(row_runs):
                 rs = row_run[r0 : r0 + dim]
                 cs = col_run[c0 : c0 + dim]
-                h_defect, v_defect = spread_defect(rs), spread_defect(cs)
-                defect = max(h_defect, v_defect)
+                defect = max(spread_defect(rs), spread_defect(cs))
                 if defect < best:
                     best = defect
                 if not (sums_all_close(rs, rtol, atol) and sums_all_close(cs, rtol, atol)):
                     continue
                 sub = interior(a, r0, dim, c0, dim)
-                # Tiny entries can square to 0.0: test the entries themselves.
-                if not any(rs) and sub.is_zero:
-                    continue
-                report = BalanceReport(tuple(rs), tuple(cs), h_defect, v_defect, True, True, True, False)
-                rows, cols = tuple(range(r0, r0 + dim)), tuple(range(c0, c0 + dim))
-                return InteriorMatch(rows, cols, sub, report), best
+                report = classify_balance(sub, tol)
+                if report.fully_balanced:
+                    rows, cols = tuple(range(r0, r0 + dim)), tuple(range(c0, c0 + dim))
+                    return InteriorMatch(rows, cols, sub, report), best
     return None, best
 
 
@@ -259,6 +256,8 @@ def _interior_search(a: Matrix, tol: TolerancePolicy, min_dim: int) -> tuple[Int
     if not a.is_square:
         raise DimensionError(f"interior search needs a square matrix, got {a.n_rows}x{a.n_cols}")
     n = a.n_rows
+    if n < 3:
+        raise InvalidInputError(f"interior search needs at least 3 rows, got {n}x{n}")
     if not 2 <= min_dim < n:
         raise InvalidInputError(f"min_dim must satisfy 2 <= min_dim < {n}, got {min_dim}")
     require_balanced(a, tol)

@@ -23,13 +23,11 @@ from typing import Callable
 
 from balmat import _kernels, algebra, spectral2
 from balmat.balance import (
-    balance_defect,
     classify_balance,
     nan_max,
     require,
     require_balanced,
     require_entries_at_least_one,
-    square_sums,
 )
 from balmat.core import (
     DEFAULT_TOL,
@@ -423,10 +421,6 @@ def _gen_abs_one(rng, spec, ctx):
     return (Matrix(spec.n, spec.n, tuple([abs(v) for v in _generate_entries(rng, spec)])),)
 
 
-def _max_defect(m: Matrix) -> float:
-    return nan_max(balance_defect(m, "rows"), balance_defect(m, "columns"))
-
-
 def _check_closure(op: str, factor: float, ms, ctx):
     """Closure of positive balanced 2x2s under `algebra.<op>` ("add" or "mul").
 
@@ -442,7 +436,7 @@ def _check_closure(op: str, factor: float, ms, ctx):
     rep_a = classify_balance(a, ctx.tol)
     rep_b = classify_balance(b, ctx.tol)
     require(rep_a.fully_balanced and rep_b.fully_balanced, "not-balanced")
-    lhs = _max_defect(getattr(algebra, op)(a, b))
+    lhs = classify_balance(getattr(algebra, op)(a, b), ctx.tol).max_defect
     rhs = DEFECT_FLOOR + factor * (rep_a.max_defect + rep_b.max_defect)
     return CheckRecord.bounded(f"closure_{op}", lhs, rhs)
 
@@ -459,7 +453,7 @@ def _check_closure_inverse(ms, ctx):
         inv = algebra.inverse2(a, ctx.tol)
     except SingularMatrixError as exc:
         raise HypothesisError("singular", str(exc)) from exc
-    return CheckRecord.bounded("closure_inverse", _max_defect(inv), DEFECT_FLOOR)
+    return CheckRecord.bounded("closure_inverse", classify_balance(inv, ctx.tol).max_defect, DEFECT_FLOOR)
 
 
 def _check_closure_transpose(ms, ctx):
@@ -485,15 +479,14 @@ def _check_closure_scale(ms, ctx):
     lam = lam_box.entries[0]
     # The defect normalizer max(1, max_sum) must be live on both sides for
     # scale invariance to be exact; entry_low >= 1 and |lam| >= 1 ensure it.
-    rs, cs = square_sums(a, "rows"), square_sums(a, "columns")
-    require(max(max(rs), max(cs)) >= 1.0, "square-sums-below-1")
-    d0 = nan_max(_kernels.spread_defect(rs), _kernels.spread_defect(cs))
+    rep = classify_balance(a, ctx.tol)
+    require(max(max(rep.row_square_sums), max(rep.col_square_sums)) >= 1.0, "square-sums-below-1")
     try:
         scaled = algebra.scale(lam, a)
     except InvalidInputError as exc:
         raise HypothesisError("scaled-overflows", str(exc)) from exc
-    d1 = _max_defect(scaled)
-    return CheckRecord.bounded("closure_scale", abs(d1 - d0), DEFECT_FLOOR)
+    d1 = classify_balance(scaled, ctx.tol).max_defect
+    return CheckRecord.bounded("closure_scale", abs(d1 - rep.max_defect), DEFECT_FLOOR)
 
 
 def _check_det_nonzero(ms, ctx):
@@ -507,30 +500,29 @@ def _check_det_nonzero(ms, ctx):
 
 
 def _estimator_error(a, ctx):
-    """(estimate, error, defect) of the entry-sum estimator on a 2x2.
+    """(estimate, error) of the entry-sum estimator on a 2x2.
 
     The estimator's gates admit only entries >= 1, so the spectrum's
     discriminant (a - d)^2 + 4bc is at least 4 and the spectrum is real.
-    The defect is the one the estimator's balance gate measured.
     """
     require(a.shape == (2, 2), "not-2x2")
-    est, report = spectral2._estimate_and_report(a, ctx.tol)
+    est = spectral2.estimate_spectrum2(a, ctx.tol)
     s = spectral2.exact_spectrum2(a)
     err = max(abs(est.max_estimate - s.max_abs), abs(est.min_estimate - s.min_abs))
-    return est, err, report.max_defect
+    return est, err
 
 
 def _check_estimator_exact(ms, ctx):
-    est, err, defect = _estimator_error(ms[0], ctx)
-    return CheckRecord.bounded("estimator_exact", err, 1e-9 + 2.0 * est.spread), (defect, err)
+    est, err = _estimator_error(ms[0], ctx)
+    return CheckRecord.bounded("estimator_exact", err, 1e-9 + 2.0 * est.spread), (est.defect, err)
 
 
 def _check_estimator_scaling(ms, ctx):
     a = ms[0]
-    _, err, defect = _estimator_error(a, ctx)
-    denom = defect * max(abs(e) for e in a.entries)
+    est, err = _estimator_error(a, ctx)
+    denom = est.defect * max(abs(e) for e in a.entries)
     # Monitoring-only: the campaign's defect/error pairs carry the signal.
-    return CheckRecord("estimator_scaling", True, err, denom, -1.0), (defect, err)
+    return CheckRecord("estimator_scaling", True, err, denom, -1.0), (est.defect, err)
 
 
 def _check_emax_additivity(ms, ctx):

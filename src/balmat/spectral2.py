@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from balmat import _kernels
-from balmat.balance import BalanceReport, require_balanced, require_entries_at_least_one, require_positive
+from balmat.balance import require_balanced, require_entries_at_least_one, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, approx_eq
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError, SymmetryError
 
@@ -53,12 +53,13 @@ class SpectrumEstimate:
     max_estimate averages the four row/column sums, min_estimate the four
     absolute differences; spread is the worst disagreement of any individual
     estimate with its group mean, i.e. how much the four readings of the
-    same quantity differ.
+    same quantity differ. defect is the max defect its balance gate measured.
     """
 
     max_estimate: float
     min_estimate: float
     spread: float
+    defect: float
 
 
 def _require_2x2(a: Matrix) -> None:
@@ -92,11 +93,6 @@ def estimate_spectrum2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Spectru
     minimizes the worst-case deviation while `spread` preserves how much the
     four readings disagreed.
     """
-    return _estimate_and_report(a, tol)[0]
-
-
-def _estimate_and_report(a: Matrix, tol: TolerancePolicy) -> tuple[SpectrumEstimate, BalanceReport]:
-    """`estimate_spectrum2` plus the balance report its gate computed."""
     _require_2x2(a)
     report = require_balanced(a, tol)
     require_entries_at_least_one(a)
@@ -109,7 +105,7 @@ def _estimate_and_report(a: Matrix, tol: TolerancePolicy) -> tuple[SpectrumEstim
         max(abs(s0 - hi), abs(s1 - hi), abs(s2 - hi), abs(s3 - hi)),
         max(abs(d0 - lo), abs(d1 - lo), abs(d2 - lo), abs(d3 - lo)),
     )
-    return SpectrumEstimate(max_estimate=hi, min_estimate=lo, spread=spread), report
+    return SpectrumEstimate(max_estimate=hi, min_estimate=lo, spread=spread, defect=report.max_defect)
 
 
 def trace_entry_check(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> CheckRecord:

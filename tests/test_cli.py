@@ -72,6 +72,12 @@ class TestParseMatrixCsv:
             parse_matrix_csv("\ufeff\ufeff2,1\n1,2\n")
         assert e.value.line == 1 and e.value.column == 1
 
+    @pytest.mark.parametrize("token", ["inf", "1e400", "nan"])
+    def test_non_finite_field_reports_line_and_column(self, token):
+        with pytest.raises(ParseError) as e:
+            parse_matrix_csv(f"3,4\n4,{token}\n")
+        assert str(e.value) == f"not a finite number: {token!r} at line 2, column 2"
+
     def test_trailing_blank_lines_ok(self):
         assert parse_matrix_csv("1,2\n3,4\n\n\n").shape == (2, 2)
 
@@ -287,7 +293,43 @@ class TestCommands:
         p.write_bytes(b"3,4\n4,\xff3\n")
         code, out, err = run_cli([command, str(p)])
         assert (code, out) == (1, "")
-        assert err == f"balmat {command}: error: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
+        assert err == f"balmat {command}: error: not UTF-8: byte 0xff (invalid start byte) at line 2, column 2\n"
+
+    @pytest.mark.parametrize(
+        "data, line, column",
+        [(b"3,4\r\n4,3\r\n\xe9", 3, 1), (b"3,4\r4,3\r1,\xe9", 3, 2), (b"\xef\xbb\xbf3, \xc3", 1, 2)],
+    )
+    def test_bad_byte_located_across_newline_styles(self, tmp_path, data, line, column):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data)
+        code, out, err = run_cli(["check", str(p)])
+        assert (code, out) == (1, "")
+        assert err.endswith(f" at line {line}, column {column}\n")
+
+    @pytest.mark.parametrize("token", ["inf", "1e400", "nan"])
+    def test_non_finite_entry_exit_1(self, tmp_path, token):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"1,{token}\n")
+        code, out, err = run_cli(["check", str(p)])
+        assert (code, out) == (1, "")
+        assert err == f"balmat check: error: not a finite number: {token!r} at line 1, column 2\n"
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+    def test_universal_newlines(self, tmp_path, newline):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"3,4\n4,3\n")
+        plain = run_cli(["check", str(p), "--format", "json"])
+        p.write_bytes(b"3,4" + newline + b"4,3" + newline)
+        assert run_cli(["check", str(p), "--format", "json"]) == plain
+
+    @pytest.mark.parametrize("rows", ["5\n", "1,0\n0,1\n"])
+    def test_interior_of_fewer_than_three_rows_exit_1(self, tmp_path, rows):
+        p = tmp_path / "small.csv"
+        p.write_text(rows)
+        code, out, err = run_cli(["interior", str(p)])
+        n = rows.count("\n")
+        assert (code, out) == (1, "")
+        assert err == f"balmat interior: error: interior search needs at least 3 rows, got {n}x{n}\n"
 
     @pytest.mark.parametrize("command", FILE_COMMANDS)
     def test_byte_order_mark_ignored(self, tmp_path, command):

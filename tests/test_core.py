@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -187,3 +189,14 @@ def test_star_import_resolves_every_public_name():
     exec("from balmat import *", namespace)
     assert set(balmat.__all__) <= namespace.keys()
     assert namespace["kernel_backend"] == balmat.kernel_backend
+
+
+def test_one_version_number():
+    import balmat
+
+    # Read without tomllib, which Python 3.10 lacks: the [project] table's
+    # `version = "..."` line.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version = "([^"]*)"$', project, re.MULTILINE)
+    assert version == balmat.__version__

@@ -223,6 +223,13 @@ class TestFindBalancedInterior:
         with pytest.raises(DimensionError):
             find_balanced_interior(constant_matrix(2, 3, 1.0), min_dim=2)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_rows_named(self, n):
+        # No min_dim fits 2 <= min_dim < n: the message names the size.
+        with pytest.raises(InvalidInputError) as e:
+            find_balanced_interior(identity(n))
+        assert str(e.value) == f"interior search needs at least 3 rows, got {n}x{n}"
+
     def test_min_dim_validation(self):
         with pytest.raises(InvalidInputError):
             find_balanced_interior(constant_matrix(3, 3, 1.0), min_dim=1)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import oracles
-from balmat import _kernels, spectral2
+from balmat import _kernels, algebra, spectral2
 from balmat.algebra import det_via_trail, rref_with_trail
 from balmat.balance import balance_defect, classify_balance
 from balmat.cli import _tolerance, build_parser
@@ -571,9 +571,9 @@ class TestWorkPerTrial:
 
     @pytest.mark.parametrize("name", ["estimator_exact", "estimator_scaling"])
     def test_estimator_runs_once_per_trial(self, monkeypatch, name):
-        # The check calls the estimator through the variant that also
-        # returns its gate's balance report, for the defect of the pair.
-        est = self.count_calls(monkeypatch, spectral2, "_estimate_and_report")
+        # The check reads the pair's defect from the estimate: the one
+        # balance report is the estimator gate's.
+        est = self.count_calls(monkeypatch, spectral2, "estimate_spectrum2")
         exact = self.count_calls(monkeypatch, spectral2, "exact_spectrum2")
         square_sums = self.count_calls(monkeypatch, _kernels, "row_square_sums")
         rep = fuzz_campaign(name, GenSpec(kind="symmetric2", seed=5), 50)
@@ -768,3 +768,77 @@ class TestReplayContract:
         # unbalanced, and the closest is all zeros, with defect 0.0.
         record = replay_counterexample("interior_conjecture", (permutation_matrix((1, 3, 0, 2)),))
         assert record == CheckRecord("interior_conjecture", False, 0.0, 0.0, 1.0)
+
+
+def _result_defect(name, inputs, tol):
+    """`classify_balance`'s max defect of a closure's result; closure_scale: its change."""
+    if name == "closure_scale":
+        a, lam = inputs
+        scaled = algebra.scale(lam.entries[0], a)
+        return abs(classify_balance(scaled, tol).max_defect - classify_balance(a, tol).max_defect)
+    if name == "closure_inverse":
+        return classify_balance(algebra.inverse2(inputs[0], tol), tol).max_defect
+    return classify_balance(getattr(algebra, name[len("closure_"):])(*inputs), tol).max_defect
+
+
+class TestOneDefectProducer:
+    """Every balance defect a check reads is `classify_balance`'s, bit for bit."""
+
+    CLOSURES = ("closure_add", "closure_inverse", "closure_mul", "closure_scale")
+
+    @staticmethod
+    def lhs_hexes(name, all_inputs, ctx):
+        """(lhs, want) as hex, NaN equal to NaN, for each applicable input."""
+        out = []
+        for inputs in all_inputs:
+            record = replay_counterexample(name, inputs, ctx)
+            if record is not None:
+                out.append((record.lhs.hex(), _result_defect(name, inputs, ctx.tol).hex()))
+        return out
+
+    @pytest.mark.parametrize("name", CLOSURES)
+    def test_closure_lhs_on_a_seeded_sweep(self, name):
+        ctx, prop = FuzzContext(), PROPERTIES[name]
+        all_inputs = [
+            prop.make_inputs(random.Random(_mix(spec.seed, index)), spec, ctx)
+            for spec in (
+                GenSpec(kind="symmetric2", seed=11),
+                GenSpec(kind="perturbed", seed=11),
+                GenSpec(kind="perturbed", noise=1e-7, seed=11),
+            )
+            for index in range(100)
+        ]
+        pairs = self.lhs_hexes(name, all_inputs, ctx)
+        assert len(pairs) >= 100
+        assert [got for got, _ in pairs] == [want for _, want in pairs]
+        if name != "closure_inverse":  # probed only where it is exactly balanced
+            assert any(got != (0.0).hex() for got, _ in pairs)
+
+    @pytest.mark.parametrize("name", CLOSURES)
+    def test_closure_lhs_on_overflowing_inputs(self, name):
+        # A positive balanced 2x2 whose product's square sums overflow.
+        overflow = CONTRACT_INPUTS + [constant_matrix(2, 2, 1e153)]
+        if name == "closure_scale":
+            all_inputs = [(m, Matrix(1, 1, (2.0,))) for m in overflow]
+        else:
+            all_inputs = [(m, m) if name in PAIR_PROPERTIES else (m,) for m in overflow]
+        pairs = self.lhs_hexes(name, all_inputs, FuzzContext())
+        assert pairs and [got for got, _ in pairs] == [want for _, want in pairs]
+        if name in ("closure_mul", "closure_scale"):
+            assert ("nan", "nan") in pairs
+
+    @pytest.mark.parametrize("name", ["estimator_exact", "estimator_scaling"])
+    @pytest.mark.parametrize("kind, noise", [("symmetric2", 0.0), ("perturbed", 1e-7)])
+    def test_estimator_pairs_carry_the_gate_defect(self, name, kind, noise):
+        spec, ctx, prop = GenSpec(kind=kind, noise=noise, seed=4), FuzzContext(), PROPERTIES[name]
+        report = fuzz_campaign(name, spec, 60, ctx)
+        want = []
+        for index in range(60):
+            (a,) = prop.make_inputs(random.Random(_mix(spec.seed, index)), spec, ctx)
+            if replay_counterexample(name, (a,), ctx) is not None:
+                defect = classify_balance(a, ctx.tol).max_defect
+                assert spectral2.estimate_spectrum2(a, ctx.tol).defect.hex() == defect.hex()
+                want.append(defect.hex())
+        assert len(want) >= 20
+        assert [d.hex() for d, _ in report.defect_error_pairs] == want
+        assert (noise == 0.0) == all(d == 0.0 for d, _ in report.defect_error_pairs)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balmat.balance import classify_balance
 from balmat.core import TolerancePolicy, constant_matrix, identity, matrix_from_rows
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError, SymmetryError
+from balmat.genfuzz import GenSpec, generate
 from balmat.spectral2 import (
     det_homomorphism_check,
     emax_additivity_check,
@@ -116,6 +118,21 @@ class TestEstimateSpectrum2:
         with pytest.raises(HypothesisError) as e:
             estimate_spectrum2(identity(2))
         assert e.value.hypothesis == "entries-below-1"
+
+    @pytest.mark.parametrize("kind, noise", [("symmetric2", 0.0), ("perturbed", 1e-7)])
+    def test_defect_is_the_gates_max_defect(self, kind, noise):
+        tol = TolerancePolicy()
+        defects = []
+        for seed in range(60):
+            a = generate(GenSpec(kind=kind, noise=noise, seed=seed))
+            try:
+                est = estimate_spectrum2(a, tol)
+            except HypothesisError:
+                continue
+            assert est.defect.hex() == classify_balance(a, tol).max_defect.hex()
+            defects.append(est.defect)
+        assert len(defects) >= 20
+        assert (noise == 0.0) == (max(defects) == 0.0)
 
     @given(unit_up, unit_up)
     def test_exact_case_identities(self, a, b):
