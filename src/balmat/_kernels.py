@@ -1,14 +1,16 @@
 """Numeric kernels on flat row-major lists of floats with explicit dimensions.
 
-Square sums and line statistics run, for n, m <= `_SHAPE_KERNEL_MAX_N`, as
-straight-line functions generated for their (n, m) shape: the entries are
-unpacked into locals and every loop is written out, so no slicing, `for`
-iteration or `append` is left around the arithmetic. Each performs the
-loop's float operations on the same operands in the same order, so the
-results are the loop's bit for bit. The generated code calls no function:
-on CPython 3.11 a builtin `min()` or `max()` call costs more than the
-comparisons it would replace. A kernel is compiled on first use of its
-shape, never at import, and cached; larger shapes run the loops.
+Square sums, balance verdicts and line statistics run, for n, m <=
+`_SHAPE_KERNEL_MAX_N`, as straight-line functions generated for their
+(n, m) shape: the entries are unpacked into locals and every loop is
+written out, so no slicing, `for` iteration or `append` is left around the
+arithmetic. Each performs the loop's float operations on the same operands
+in the same order, so the results are the loop's bit for bit. The
+generated code calls no function, but for the rare pairwise comparison
+behind a balance verdict: on CPython 3.11 a builtin `min()` or `max()`
+call costs more than the comparisons it would replace. A kernel is
+compiled on first use of its shape, never at import, and cached; larger
+shapes run the loops.
 
 Every kernel takes n, m >= 1, which `Matrix` guarantees.
 """
@@ -44,8 +46,7 @@ def col_square_sums(entries, n, m):
 
 def sums_all_close(sums, rtol, atol):
     """Whether every pair of values agrees within atol + rtol*max(|x|,|y|)."""
-    k = len(sums)
-    if k < 2:
+    if len(sums) < 2:
         return True
     # Screen for non-negative sums and tolerances (NaN never compares, so
     # it is skipped): no pair is further apart than max - min, and every
@@ -63,6 +64,12 @@ def sums_all_close(sums, rtol, atol):
             return True
         if span > atol + rtol * hi:
             return False
+    return _pairs_close(sums, rtol, atol)
+
+
+def _pairs_close(sums, rtol, atol):
+    """`sums_all_close` pair by pair, with no screen."""
+    k = len(sums)
     for r in range(k):
         sr = sums[r]
         for s in range(r + 1, k):
@@ -89,6 +96,49 @@ def spread_defect(sums):
             hi = v
     denom = hi if hi > 1.0 else 1.0
     return (hi - lo) / denom
+
+
+def axis_balance(sums, rtol, atol):
+    """(defect, verdict) of one axis's square sums, from one scan.
+
+    The defect is `spread_defect(sums)`. The verdict is False when the
+    defect is not finite (a sum overflowed, and `sums_all_close` would call
+    the infinite sums close), else `sums_all_close(sums, rtol, atol)`. The
+    sums are non-negative, as square sums are, and so are rtol and atol, as
+    `TolerancePolicy` makes them: the screen of `sums_all_close` applies.
+    """
+    lo = hi = sums[0]
+    for v in sums:
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+    span = hi - lo
+    defect = span / (hi if hi > 1.0 else 1.0)
+    if defect - defect != 0.0:  # not finite
+        return defect, False
+    if span <= atol + rtol * lo:
+        return defect, True
+    if span > atol + rtol * hi:
+        return defect, False
+    return defect, _pairs_close(sums, rtol, atol)
+
+
+def balance(entries, n, m, rtol, atol):
+    """Square sums, defects and verdicts of both axes, from one pass.
+
+    Returns (row_sums, col_sums, h_defect, v_defect, h_balanced,
+    v_balanced), the sums as tuples: `row_square_sums`, `col_square_sums`,
+    and `axis_balance` of each, bit for bit. Entries are finite, as
+    `Matrix` makes them, and rtol, atol non-negative.
+    """
+    if n <= _SHAPE_KERNEL_MAX_N and m <= _SHAPE_KERNEL_MAX_N:
+        return _kernel("balance", n, m)(entries, rtol, atol)
+    rs = tuple(row_square_sums(entries, n, m))
+    cs = tuple(col_square_sums(entries, n, m))
+    h_defect, h_bal = axis_balance(rs, rtol, atol)
+    v_defect, v_bal = axis_balance(cs, rtol, atol)
+    return rs, cs, h_defect, v_defect, h_bal, v_bal
 
 
 def spectrum2(a, b, c, d):
@@ -248,7 +298,7 @@ def _compile(source, name, namespace=None):
 @functools.lru_cache(maxsize=None)
 def _kernel(kind, n, m):
     """The straight-line `kind` kernel for n x m entries, compiled once per shape."""
-    return _compile(_kernel_source(kind, n, m), f"{kind}_{n}x{m}")
+    return _compile(_kernel_source(kind, n, m), f"{kind}_{n}x{m}", {"pairs_close": _pairs_close})
 
 
 def _kernel_source(kind, n, m):
@@ -261,6 +311,8 @@ def _kernel_source(kind, n, m):
     e = [f"e{k}" for k in range(n * m)]
     rows = [e[b : b + m] for b in range(0, n * m, m)]
     cols = [e[j::m] for j in range(m)]
+    if kind == "balance":
+        return _balance_source(n, m, rows, cols)
     out = [f"def {kind}_{n}x{m}(entries):", f"    [{', '.join(e)}] = entries"]
     # Sums run left to right from 0.0, as the loops' `s += ...` add.
     if kind != "line_stats":
@@ -285,3 +337,46 @@ def _kernel_source(kind, n, m):
     shape = (("r", n), ("c", m))
     stats = (f"[{', '.join(f'{axis}{stat}{i}' for i in range(k))}]" for stat in "smd" for axis, k in shape)
     return "\n".join([*out, f"    return {', '.join(stats)}", ""])
+
+
+def _balance_source(n, m, rows, cols):
+    """Source of the n x m `balance` kernel; `rows` and `cols` name its entries.
+
+    The square of entry e<k> is the local q<k>, shared by its row's sum r<i>
+    and its column's sum c<j>. A line of one entry has its square as its
+    sum, since 0.0 + x is x for a square x; a longer line's sum drops the
+    loop's leading 0.0 for the same reason. Each axis then runs the body of
+    `axis_balance`, with its scan unrolled: `pairs_close` is called only
+    when the span falls between the allowances at the lowest and the
+    highest sum.
+    """
+    q = {v: f"q{v[1:]}" for line in rows for v in line}
+    out = [f"def balance_{n}x{m}(entries, rtol, atol):", f"    [{', '.join(q)}] = entries"]
+    out += [f"    {sq} = {v}*{v}" for v, sq in q.items()]
+    results = []
+    for axis, lines, flag in (("r", rows, "h"), ("c", cols, "v")):
+        sums = []
+        for i, line in enumerate(lines):
+            if len(line) == 1:
+                sums.append(q[line[0]])
+            else:
+                sums.append(f"{axis}{i}")
+                out.append(f"    {axis}{i} = {' + '.join(q[v] for v in line)}")
+        out.append(f"    lo = hi = {sums[0]}")
+        for v in sums[1:]:
+            out += [f"    if {v} < lo:", f"        lo = {v}", f"    elif {v} > hi:", f"        hi = {v}"]
+        defect, verdict, as_tuple = f"{flag}d", f"{flag}b", f"({', '.join(sums)},)"
+        out += [
+            "    span = hi - lo",
+            f"    {defect} = span / (hi if hi > 1.0 else 1.0)",
+            f"    if {defect} - {defect} != 0.0:",
+            f"        {verdict} = False",
+            "    elif span <= atol + rtol * lo:",
+            f"        {verdict} = True",
+            "    elif span > atol + rtol * hi:",
+            f"        {verdict} = False",
+            "    else:",
+            f"        {verdict} = pairs_close({as_tuple}, rtol, atol)",
+        ]
+        results.append(as_tuple)
+    return "\n".join([*out, f"    return {results[0]}, {results[1]}, hd, vd, hb, vb", ""])

@@ -11,6 +11,7 @@ determinant of the input.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from balmat import _kernels
@@ -49,19 +50,19 @@ class RrefResult:
 
 
 def transpose(a: Matrix) -> Matrix:
-    entries = tuple(a.entries[i * a.n_cols + j] for j in range(a.n_cols) for i in range(a.n_rows))
-    return Matrix(a.n_cols, a.n_rows, entries)
+    e, m = a.entries, a.n_cols
+    return Matrix(m, a.n_rows, tuple([v for j in range(m) for v in e[j::m]]))
 
 
 def scale(lam: float, a: Matrix) -> Matrix:
     lam = float(lam)
-    return Matrix(a.n_rows, a.n_cols, tuple(lam * e for e in a.entries))
+    return Matrix(a.n_rows, a.n_cols, tuple([lam * e for e in a.entries]))
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
+    if a.n_rows != b.n_rows or a.n_cols != b.n_cols:
         raise DimensionError(f"cannot add {a.n_rows}x{a.n_cols} and {b.n_rows}x{b.n_cols}")
-    return Matrix(a.n_rows, a.n_cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+    return Matrix(a.n_rows, a.n_cols, tuple(map(operator.add, a.entries, b.entries)))
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:

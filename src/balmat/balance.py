@@ -8,12 +8,11 @@ property fails, normalized so they are comparable across scales.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 from balmat import _kernels
-from balmat.core import DEFAULT_TOL, Matrix, TolerancePolicy
+from balmat.core import DEFAULT_TOL, Matrix, TolerancePolicy, one_write_init
 from balmat.errors import HypothesisError, InvalidInputError
 
 Axis = Literal["rows", "columns"]
@@ -24,7 +23,8 @@ def nan_max(x: float, y: float) -> float:
     return y if y > x or y != y else x
 
 
-@dataclass(frozen=True)
+@one_write_init
+@dataclass(frozen=True, init=False)
 class BalanceReport:
     """Classification of one matrix plus the defect metrics behind it.
 
@@ -71,30 +71,14 @@ def classify_balance(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> BalanceRe
     Balance requires every *pair* of square sums to agree under `tol`,
     matching the universally quantified definition rather than comparing
     adjacent lines only. An axis whose square sums overflow is not
-    balanced: its defect is then NaN, and `sums_all_close` would count the
-    infinite sums as close to anything.
+    balanced: its defect is then NaN (see `_kernels.axis_balance`).
     """
-    rs = _kernels.row_square_sums(a.entries, a.n_rows, a.n_cols)
-    cs = _kernels.col_square_sums(a.entries, a.n_rows, a.n_cols)
-    h_defect = _kernels.spread_defect(rs)
-    v_defect = _kernels.spread_defect(cs)
-    is_zero = a.is_zero
-    if is_zero:
-        h_bal = v_bal = full = False
-    else:
-        h_bal = math.isfinite(h_defect) and _kernels.sums_all_close(rs, tol.rtol, tol.atol)
-        v_bal = math.isfinite(v_defect) and _kernels.sums_all_close(cs, tol.rtol, tol.atol)
-        full = h_bal and v_bal
-    return BalanceReport(
-        row_square_sums=tuple(rs),
-        col_square_sums=tuple(cs),
-        horizontal_defect=h_defect,
-        vertical_defect=v_defect,
-        horizontally_balanced=h_bal,
-        vertically_balanced=v_bal,
-        fully_balanced=full,
-        is_zero=is_zero,
-    )
+    rs, cs, h_defect, v_defect, h_bal, v_bal = _kernels.balance(a.entries, a.n_rows, a.n_cols, tol.rtol, tol.atol)
+    # Row sums that are all 0.0 (the lowest is the highest, and the first
+    # is 0.0) do not make a zero matrix: 1e-200 squares to 0.0 too.
+    if rs[0] == 0.0 and h_defect == 0.0 and a.is_zero:
+        return BalanceReport(rs, cs, h_defect, v_defect, False, False, False, True)
+    return BalanceReport(rs, cs, h_defect, v_defect, h_bal, v_bal, h_bal and v_bal, False)
 
 
 def require(condition: bool, hypothesis: str) -> None:

@@ -7,10 +7,43 @@ discrepancy reports) is phrased in terms of the three types defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Sequence
 
 from balmat.errors import DimensionError, InvalidInputError
+
+
+def one_write_init(cls):
+    """Give `cls`, a frozen dataclass, an `__init__` that stores every field in one write.
+
+    A frozen dataclass's own `__init__` stores each field with its own
+    `object.__setattr__` call, to get past the class's `__setattr__`. This
+    one assigns the instance `__dict__` once, then calls
+    `self.__post_init__()` if the class has one: an instrument that rebinds
+    it on the class still sees every construction. Equality, hashing,
+    `repr`, `fields`, `replace` and pickling stay the dataclass's. The class
+    is declared with `init=False`, so that no other `__init__` is built,
+    and every field is an init field without a default.
+    """
+    params = cls.__dataclass_params__
+    if params.init or not params.frozen:
+        raise TypeError(f"{cls.__name__}: one_write_init takes a frozen dataclass declared with init=False")
+    names = []
+    for f in fields(cls):
+        if not f.init or f.default is not MISSING or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: one_write_init takes init fields without defaults")
+        names.append(f.name)
+    stores = ", ".join(f"{name!r}: {name}" for name in names)
+    lines = [f"def __init__(self, {', '.join(names)}):", f"    set_field(self, '__dict__', {{{stores}}})"]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"set_field": object.__setattr__}
+    exec(compile("\n".join(lines), f"<{cls.__qualname__}.__init__>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
 
 
 @dataclass(frozen=True)
@@ -54,7 +87,8 @@ def approx_eq(x: float, y: float, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return abs(x - y) <= tol.allowance(x, y)
 
 
-@dataclass(frozen=True)
+@one_write_init
+@dataclass(frozen=True, init=False)
 class Matrix:
     """Immutable dense real matrix with row-major entries."""
 
@@ -154,7 +188,8 @@ def constant_matrix(n_rows: int, n_cols: int, value: float) -> Matrix:
     return Matrix(n_rows, n_cols, tuple([float(value)] * (n_rows * n_cols)))
 
 
-@dataclass(frozen=True)
+@one_write_init
+@dataclass(frozen=True, init=False)
 class CheckRecord:
     """Uniform outcome carrier for theorem and property checks.
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from operator import add
 
 from balmat import _kernels
-from balmat.balance import BalanceReport, classify_balance, require_balanced, require_positive
-from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy
+from balmat.balance import BalanceReport, classify_balance, nan_max, require_balanced, require_positive
+from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, one_write_init
 from balmat.errors import DimensionError, InvalidInputError
 
 #: Tolerance widening applied when a fairness verdict is transported to the
@@ -25,7 +25,8 @@ from balmat.errors import DimensionError, InvalidInputError
 TRANSFER_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
+@one_write_init
+@dataclass(frozen=True, init=False)
 class DiscrepancyReport:
     """Line sums, means, worst deviations, and fairness verdicts at one eps."""
 
@@ -189,25 +190,25 @@ def _scan_interiors(a: Matrix, tol: TolerancePolicy, min_dim: int) -> tuple[Inte
     max(horizontal, vertical) defect among the blocks visited up to it.
     Each block's square sums are slices of one run-sum table, so its sums,
     defects and verdict equal `classify_balance` of the block bit for bit.
-    Only a block that passes both closeness tests is built and classified.
+    Only a block whose axes both pass `axis_balance` is built and classified.
     """
     n = a.n_rows
     by_cols, by_rows = _run_square_sums(a)
     # Looked up per call: instrumentation may rebind the kernel attributes.
-    spread_defect = _kernels.spread_defect
-    sums_all_close = _kernels.sums_all_close
+    axis_balance = _kernels.axis_balance
     rtol, atol = tol.rtol, tol.atol
     best = math.inf
     for dim in range(n - 1, min_dim - 1, -1):
         row_runs = by_cols[dim]
         for r0, col_run in enumerate(by_rows[dim]):
             for c0, row_run in enumerate(row_runs):
-                rs = row_run[r0 : r0 + dim]
-                cs = col_run[c0 : c0 + dim]
-                defect = max(spread_defect(rs), spread_defect(cs))
+                h_defect, h_bal = axis_balance(row_run[r0 : r0 + dim], rtol, atol)
+                v_defect, v_bal = axis_balance(col_run[c0 : c0 + dim], rtol, atol)
+                # builtin max(h_defect, v_defect), without the call
+                defect = v_defect if v_defect > h_defect else h_defect
                 if defect < best:
                     best = defect
-                if not (sums_all_close(rs, rtol, atol) and sums_all_close(cs, rtol, atol)):
+                if not (h_bal and v_bal):
                     continue
                 sub = interior(a, r0, dim, c0, dim)
                 report = classify_balance(sub, tol)
@@ -222,13 +223,13 @@ def _interiors_balanced(a: Matrix, tol: TolerancePolicy) -> tuple[bool, float]:
 
     Covers each contiguous block of two or more rows and columns but `a`
     itself; worst is the largest max(horizontal, vertical) defect among the
-    unbalanced ones, or 0.0. Verdicts and defects are `classify_balance`'s,
-    bit for bit; only a block whose square sums are all 0.0 is built.
+    unbalanced ones (a NaN defect, from an overflowed sum, is passed
+    over), or 0.0. Verdicts and defects are `classify_balance`'s, bit for
+    bit; only a block whose square sums are all 0.0 is built.
     """
     n, m = a.n_rows, a.n_cols
     by_cols, by_rows = _run_square_sums(a)
-    spread_defect = _kernels.spread_defect
-    sums_all_close = _kernels.sums_all_close
+    axis_balance = _kernels.axis_balance
     rtol, atol = tol.rtol, tol.atol
     ok = True
     worst = 0.0
@@ -240,12 +241,12 @@ def _interiors_balanced(a: Matrix, tol: TolerancePolicy) -> tuple[bool, float]:
             for r0, col_run in enumerate(by_rows[r_count]):
                 for c0, row_run in enumerate(row_runs):
                     rs = row_run[r0 : r0 + r_count]
-                    cs = col_run[c0 : c0 + c_count]
-                    balanced = sums_all_close(rs, rtol, atol) and sums_all_close(cs, rtol, atol)
-                    if balanced and (any(rs) or not interior(a, r0, r_count, c0, c_count).is_zero):
+                    h_defect, h_bal = axis_balance(rs, rtol, atol)
+                    v_defect, v_bal = axis_balance(col_run[c0 : c0 + c_count], rtol, atol)
+                    if h_bal and v_bal and (any(rs) or not interior(a, r0, r_count, c0, c_count).is_zero):
                         continue
                     ok = False
-                    defect = max(spread_defect(rs), spread_defect(cs))
+                    defect = nan_max(h_defect, v_defect)
                     if defect > worst:
                         worst = defect
     return ok, worst

@@ -15,7 +15,7 @@ from typing import Literal
 
 from balmat import _kernels
 from balmat.balance import require_balanced, require_entries_at_least_one, require_positive
-from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, approx_eq
+from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, approx_eq, one_write_init
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError, SymmetryError
 
 # `algebra` and `discrepancy` are imported inside the two checks that use
@@ -24,7 +24,8 @@ from balmat.errors import DimensionError, HypothesisError, InvalidInputError, Sy
 Branch = Literal["b_gt_a", "b_lt_a"]
 
 
-@dataclass(frozen=True)
+@one_write_init
+@dataclass(frozen=True, init=False)
 class Spectrum2:
     """Eigenvalues of a 2x2 matrix, ordered by magnitude.
 
@@ -46,7 +47,8 @@ class Spectrum2:
         return abs(self.lambda2)
 
 
-@dataclass(frozen=True)
+@one_write_init
+@dataclass(frozen=True, init=False)
 class SpectrumEstimate:
     """Entry-sum estimates of the eigenvalue magnitudes of a balanced 2x2.
 
@@ -63,7 +65,7 @@ class SpectrumEstimate:
 
 
 def _require_2x2(a: Matrix) -> None:
-    if a.shape != (2, 2):
+    if a.n_rows != 2 or a.n_cols != 2:
         raise DimensionError(f"operation defined for 2x2 matrices, got {a.n_rows}x{a.n_cols}")
 
 
@@ -105,7 +107,7 @@ def estimate_spectrum2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Spectru
         max(abs(s0 - hi), abs(s1 - hi), abs(s2 - hi), abs(s3 - hi)),
         max(abs(d0 - lo), abs(d1 - lo), abs(d2 - lo), abs(d3 - lo)),
     )
-    return SpectrumEstimate(max_estimate=hi, min_estimate=lo, spread=spread, defect=report.max_defect)
+    return SpectrumEstimate(hi, lo, spread, report.max_defect)
 
 
 def trace_entry_check(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> CheckRecord:

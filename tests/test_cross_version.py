@@ -3,10 +3,12 @@
 Each float sum in balmat runs left to right in plain Python, so every
 interpreter must give the same bits. For each CPython minor version from
 3.10 to 3.13 found on `PATH` or under pyenv's `versions/*/bin/python3`, this
-runs `tests/fingerprint_cases.py` and the golden CLI invocations of
-`test_acceptance.py`, and prints the versions it ran, or that it found none.
-The running interpreter's version is left out: `test_fingerprints.py` and
-`test_acceptance.py` check it already.
+runs `tests/fingerprint_cases.py`, `tests/value_object_cases.py` (the value
+objects store their fields through CPython's `__dict__` handling) and the
+golden CLI invocations of `test_acceptance.py`, and prints the versions it
+ran, or that it found none. The running interpreter's version is left out:
+`test_fingerprints.py`, `test_value_objects.py` and `test_acceptance.py`
+check it already.
 """
 
 from __future__ import annotations
@@ -58,18 +60,22 @@ def _interpreters() -> dict[str, str]:
 def _mismatches(exe: str, cwd: Path, env: dict[str, str]) -> list[str]:
     """What differs from the lock under interpreter `exe`."""
     bad = []
-    script = Path(__file__).with_name("fingerprint_cases.py")
-    # The fingerprints run while the CLI invocations do.
-    fingerprints = subprocess.Popen(
-        [exe, str(script)], cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
-    )
+    # The case scripts run while the CLI invocations do.
+    scripts = {
+        name: subprocess.Popen(
+            [exe, str(Path(__file__).with_name(f"{name}_cases.py"))],
+            cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        for name in ("fingerprint", "value_object")
+    }  # fmt: skip
     for golden_name, argv in GOLDEN_INVOCATIONS:
         proc = subprocess.run([exe, "-m", "balmat", *argv], cwd=cwd, env=env, capture_output=True)
         if proc.returncode != 0 or proc.stdout != (DATA_DIR / golden_name).read_bytes():
             bad.append(f"{golden_name}: exit {proc.returncode}, {proc.stderr.decode(errors='replace')[-300:]!r}")
-    output, _ = fingerprints.communicate()
-    if fingerprints.returncode != 0:
-        bad.append(f"fingerprints: {output.strip()[-500:]}")
+    for name, script in scripts.items():
+        output, _ = script.communicate()
+        if script.returncode != 0:
+            bad.append(f"{name} cases: {output.strip()[-500:]}")
     return bad
 
 

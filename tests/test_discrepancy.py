@@ -301,13 +301,13 @@ class TestScanInteriors:
     def test_work_is_quadratic_per_dimension(self, monkeypatch):
         # Each d x d block's row and column defects, for every d, and no more.
         calls = [0]
-        original = _kernels.spread_defect
+        original = _kernels.axis_balance
 
-        def counted(sums):
+        def counted(sums, rtol, atol):
             calls[0] += 1
-            return original(sums)
+            return original(sums, rtol, atol)
 
-        monkeypatch.setattr(_kernels, "spread_defect", counted)
+        monkeypatch.setattr(_kernels, "axis_balance", counted)
         n, min_dim = 10, 2
         m = generate(GenSpec(kind="scaled_orthogonal", n=n, seed=5))
         assert _scan_interiors(m, TolerancePolicy(), min_dim)[0] is None
@@ -429,6 +429,39 @@ class TestInteriorFairCorollaryCheck:
             unbalanced = [r.max_defect for r in reports if not r.fully_balanced]
             want = (not unbalanced, max(unbalanced, default=0.0))
             assert oracles.canonical(_interiors_balanced(m, tol)) == oracles.canonical(want)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e200] * 3] * 3,
+            [[1e200, 1e200, 1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
+            # column 0's sums overflow where the rows' sums do not: every
+            # unbalanced block has a NaN defect, so the worst stays 0.0
+            [[1.3e154, 1.0, 1.0], [1.2e154, 1.0, 1.0], [1.25e154, 1.0, 1.0]],
+            [[1e-200] * 3] * 3,
+            [[1e-200, 1e-200, 1.0], [1e-200, 0.0, 1.0], [1.0, 1.0, 1.0]],
+            [[0.0, 1e-200, 3.0, 1.0], [1e-200, 0.0, 1.0, 3.0], [3.0, 1.0, 1e-200, 0.0]],
+        ],
+    )
+    def test_blocks_match_classify_balance_past_the_float_range(self, rows):
+        # Overflowed square sums make a NaN defect, which `classify_balance`
+        # calls unbalanced; sums that underflow to 0.0 make no zero block.
+        m = matrix_from_rows(rows)
+        n, k = m.shape
+        tol = TolerancePolicy()
+        ok, worst = True, 0.0
+        for r_count in range(2, n + 1):
+            for c_count in range(2, k + 1):
+                if (r_count, c_count) == (n, k):
+                    continue
+                for r0 in range(n - r_count + 1):
+                    for c0 in range(k - c_count + 1):
+                        rep = classify_balance(interior(m, r0, r_count, c0, c_count), tol)
+                        if not rep.fully_balanced:
+                            ok = False
+                            if rep.max_defect > worst:
+                                worst = rep.max_defect
+        assert oracles.canonical(_interiors_balanced(m, tol)) == oracles.canonical((ok, worst))
 
     def test_reference_cases_reach_every_outcome(self):
         outcomes = set()

@@ -575,11 +575,11 @@ class TestWorkPerTrial:
         # balance report is the estimator gate's.
         est = self.count_calls(monkeypatch, spectral2, "estimate_spectrum2")
         exact = self.count_calls(monkeypatch, spectral2, "exact_spectrum2")
-        square_sums = self.count_calls(monkeypatch, _kernels, "row_square_sums")
+        balance = self.count_calls(monkeypatch, _kernels, "balance")
         rep = fuzz_campaign(name, GenSpec(kind="symmetric2", seed=5), 50)
         assert rep.passes + rep.violations == 50
         assert est[0] == exact[0] == 50
-        assert square_sums[0] == 50
+        assert balance[0] == 50
         assert len(rep.defect_error_pairs) == 50
 
     def test_one_matrix_per_generated_input(self, monkeypatch):
@@ -592,7 +592,7 @@ class TestWorkPerTrial:
         # The blocks are checked from one table of run square sums: no
         # block is built as a Matrix or summed by `classify_balance`.
         built = self.count_calls(monkeypatch, Matrix, "__post_init__")
-        square_sums = self.count_calls(monkeypatch, _kernels, "row_square_sums")
+        balance = self.count_calls(monkeypatch, _kernels, "balance")
         rep = fuzz_campaign(
             "interior_fair_corollary",
             GenSpec(kind="constant", n=6, noise=0.01, seed=48),
@@ -600,7 +600,7 @@ class TestWorkPerTrial:
             FuzzContext(TolerancePolicy(rtol=0.1, atol=1e-9)),
         )
         assert rep.passes == 10
-        assert built[0] == square_sums[0] == 10
+        assert built[0] == balance[0] == 10
 
     @pytest.mark.parametrize("name", ["estimator_exact", "estimator_scaling"])
     def test_replay_returns_the_record(self, name):

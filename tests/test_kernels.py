@@ -11,6 +11,7 @@ bit with the index-arithmetic forms kept in `tests/oracles.py`.
 import ast
 import importlib.util
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 import oracles
 from balmat import _kernels
 from balmat.algebra import det_via_trail
-from balmat.core import Matrix
+from balmat.balance import classify_balance
+from balmat.core import Matrix, matrix_from_rows
 
 # `tests/oracles.py` already holds the module name `oracles`.
 _spec = importlib.util.spec_from_file_location(
@@ -370,3 +372,126 @@ def test_spectrum2_symmetric(a, b, gap, exponent):
     # so both are checked relative to the spectral radius, down to a
     # vanishing discriminant (a = d, b -> 0).
     check_spectrum2((a, b, b, a + gap * 10.0**exponent), lambda w1, w2: max(abs(w1), abs(w2)))
+
+
+# ---------------------------------------------------------------------------
+# The fused balance kernel against the separate kernels
+# ---------------------------------------------------------------------------
+
+#: Every generated shape, then shapes that run the loops.
+BALANCE_SHAPES = [(n, m) for n in range(1, K + 1) for m in range(1, K + 1)] + [(9, 3), (3, 9), (12, 12)]
+
+#: (rtol, atol) pairs, all as `TolerancePolicy` allows them.
+BALANCE_TOLS = [(1e-6, 1e-9), (0.5, 1e-9), (0.05, 0.0), (0.0, 1e-3), (1.5, 2.0)]
+
+
+def _balance_entries(rng, style, count):
+    if style == "seeded":  # signed
+        return [rng.uniform(-100.0, 100.0) for _ in range(count)]
+    if style == "ties":  # equal square sums and ties for lowest and highest
+        return [rng.choice((1.0, -1.0, 2.0, -2.0)) for _ in range(count)]
+    if style == "tiny":  # squares underflow to 0.0
+        return [rng.choice((0.0, 1e-200, -1e-200)) for _ in range(count)]
+    if style == "huge":  # squares or their sums overflow to inf
+        return [rng.choice((1.0, 1e200, -1e154, 1.5e154)) for _ in range(count)]
+    # "band": square sums within about 1.7x of each other, so at rtol=0.5
+    # spans fall between the allowances at the lowest and the highest sum
+    return [rng.choice((1.0, -1.0)) * (1.0 + rng.uniform(0.0, 0.3)) for _ in range(count)]
+
+
+BALANCE_STYLES = ("seeded", "ties", "tiny", "huge", "band")
+
+
+def _balance_reference(entries, n, m, rtol, atol):
+    """`_kernels.balance` as `classify_balance` computed it from the separate kernels."""
+    rs = _kernels.row_square_sums(entries, n, m)
+    cs = _kernels.col_square_sums(entries, n, m)
+    h_defect = _kernels.spread_defect(rs)
+    v_defect = _kernels.spread_defect(cs)
+    h_bal = math.isfinite(h_defect) and _kernels.sums_all_close(rs, rtol, atol)
+    v_bal = math.isfinite(v_defect) and _kernels.sums_all_close(cs, rtol, atol)
+    return tuple(rs), tuple(cs), h_defect, v_defect, h_bal, v_bal
+
+
+def _in_middle_band(sums, rtol, atol):
+    lo, hi = min(sums), max(sums)
+    return atol + rtol * lo < hi - lo <= atol + rtol * hi
+
+
+@pytest.mark.parametrize("n, m", BALANCE_SHAPES, ids=lambda v: str(v))
+def test_balance_bit_for_bit(n, m):
+    rng = random.Random(n * 100 + m)
+    band = 0
+    for style in BALANCE_STYLES:
+        for _ in range(4):
+            entries = _balance_entries(rng, style, n * m)
+            for rtol, atol in BALANCE_TOLS:
+                got = _kernels.balance(entries, n, m, rtol, atol)
+                want = _balance_reference(entries, n, m, rtol, atol)
+                assert type(got[0]) is tuple and type(got[1]) is tuple
+                assert [hexes(v) for v in got[:2]] == [hexes(v) for v in want[:2]], (style, entries)
+                assert hexes(got[2:4]) == hexes(want[2:4]), (style, entries)
+                assert got[4:] == want[4:], (style, entries, rtol, atol)
+                band += _in_middle_band(want[0], rtol, atol) + _in_middle_band(want[1], rtol, atol)
+            if style in ("seeded", "ties", "band"):  # no square under- or overflows
+                want_rows, want_cols = exact.square_sums(_rows(entries, n, m))
+                assert all(exact.sum_close(g, w, m) for g, w in zip(got[0], want_rows))
+                assert all(exact.sum_close(g, w, n) for g, w in zip(got[1], want_cols))
+    # the pairwise fallback ran: some axis fell between the two allowances
+    assert band > 0 or n * m == 1
+
+
+@pytest.mark.parametrize(
+    "sums, rtol, atol",
+    [
+        ([1.0, 1.6], 0.5, 0.0),  # between the allowances
+        ([1.0, 1.5, 1.6], 0.5, 0.0),
+        ([3.0, 1.0, 2.0], 1.0, 0.0),
+        ([2.0, 2.0, 2.0], 1e-6, 1e-9),
+        ([0.0, 0.0], 1e-6, 1e-9),
+        ([0.0, 5.0], 0.0, 5.0),
+        ([math.inf, 1.0], 1e300, 0.0),  # the allowance at the lowest sum is inf
+        ([math.inf, math.inf], 1e-6, 1e-9),
+        ([7.0], 0.0, 1e-9),
+        ([math.inf], 1e-6, 1e-9),
+        ([1.7e308, 1e308], 0.5, 0.0),
+    ],
+)
+def test_axis_balance_matches_the_separate_kernels(sums, rtol, atol):
+    defect = _kernels.spread_defect(sums)
+    verdict = math.isfinite(defect) and _kernels.sums_all_close(sums, rtol, atol)
+    got = _kernels.axis_balance(sums, rtol, atol)
+    assert (got[0].hex(), got[1]) == (defect.hex(), verdict)
+
+
+@pytest.mark.parametrize(
+    "rows, is_zero",
+    [
+        ([[1e-200, 0.0], [0.0, 1e-200]], False),
+        ([[0.0, 0.0], [0.0, 0.0]], True),
+        ([[0.0, -0.0, 0.0]], True),
+        ([[1e-200] * 9] * 9, False),
+        ([[0.0] * 9] * 9, True),
+    ],
+)
+def test_balance_tells_tiny_entries_from_the_zero_matrix(rows, is_zero):
+    # Both square to all-zero sums; only the entries tell them apart.
+    m = matrix_from_rows(rows)
+    report = classify_balance(m)
+    assert report.row_square_sums == (0.0,) * m.n_rows
+    assert report.is_zero is is_zero
+    assert report.fully_balanced is not is_zero
+
+
+def test_balance_compiles_once_per_shape_and_not_past_the_bound():
+    _kernels.balance([1.0] * 12, 3, 4, 1e-6, 1e-9)
+    before = _kernels._kernel.cache_info()
+    for n, m in [(3, 4), (K + 1, K), (K, K + 1), (K + 1, 1)]:
+        _kernels.balance([2.0] * (n * m), n, m, 1e-6, 1e-9)
+    after = _kernels._kernel.cache_info()
+    assert (after.misses, after.currsize, after.hits) == (before.misses, before.currsize, before.hits + 1)
+
+
+def test_balance_kernel_calls_only_the_pairwise_fallback():
+    tree = ast.parse(_kernels._kernel_source("balance", 3, K))
+    assert [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)] == ["pairs_close"] * 2
