@@ -12,6 +12,10 @@ call costs more than the comparisons it would replace. A kernel is
 compiled on first use of its shape, never at import, and cached; larger
 shapes run the loops.
 
+`rref` is the full reduction with its trail, in one mode. The determinant's
+forward elimination has a generated kernel of its own, under the same size
+bound, in `algebra` beside `det_via_trail`, its one caller.
+
 Every kernel takes n, m >= 1, which `Matrix` guarantees.
 """
 
@@ -167,7 +171,7 @@ def spectrum2(a, b, c, d):
     return other, q, False
 
 
-def rref(entries, n, m, pivot_tol, forward_only=False):
+def rref(entries, n, m, pivot_tol):
     """Reduced row echelon form with a trail of elementary row operations.
 
     Partial pivoting: the largest-magnitude candidate in each column is
@@ -176,11 +180,6 @@ def rref(entries, n, m, pivot_tol, forward_only=False):
     entries and the candidates of a column without a pivot to exactly 0.0.
     Returns (reduced_entries, trail, rank) where the trail is a list of
     (kind, i, j, factor) tuples, the fields of `algebra.ElementaryOp`.
-
-    With `forward_only` set, rows above each pivot are left as they are, so
-    the result is a row echelon form with unit pivots. A row is complete by
-    the time it becomes the pivot row, so the swaps, the scale factors and
-    the rank are bit for bit those of the full reduction.
     """
     r = list(entries)
     trail = []
@@ -216,7 +215,7 @@ def rref(entries, n, m, pivot_tol, forward_only=False):
             r[base + col] = 1.0
             trail.append(("scale_row", pivot_row, pivot_row, f))
         p_base = pivot_row * m
-        for i in range(pivot_row + 1 if forward_only else 0, n):
+        for i in range(n):
             if i == pivot_row:
                 continue
             x = r[i * m + col]
@@ -278,8 +277,8 @@ def _line_stats(lines):
 # Generated straight-line kernels
 # ---------------------------------------------------------------------------
 
-#: Largest n and m for which square sums and line statistics run as
-#: generated straight-line code; larger shapes run the loops. Every shape
+#: Largest n and m for which square sums, line statistics and determinants
+#: run as generated straight-line code; larger shapes run the loops. Every shape
 #: measured from 1x1 to 16x16 runs faster than the loop, so this is a budget
 #: for compile time and memory, set at the largest shape a benchmark
 #: workload runs. Compiling the 8x8 line statistics takes ~3.4 ms and the

@@ -5,11 +5,15 @@ inverse), this module reduces matrices to reduced row echelon form while
 recording every elementary row operation. The determinant then falls out of
 the trail: each recorded operation corresponds to an elementary matrix with
 known determinant, and the product of those determinants inverts to the
-determinant of the input.
+determinant of the input. `det_via_trail` runs the forward part of that
+elimination alone, with no trail, as a straight-line function generated per
+n up to `_kernels._SHAPE_KERNEL_MAX_N`. Its generator sits here, next to its
+one caller, so that a command that never loads this module compiles none.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -101,11 +105,15 @@ def inverse2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Matrix:
     return Matrix(2, 2, (e[3] * f, -e[1] * f, -e[2] * f, e[0] * f))
 
 
-def _rref(a: Matrix, pivot_tol: float, forward_only: bool = False):
-    """The rref kernel on `a`: (reduced entries, raw trail, rank)."""
+def _require_pivot_tol(pivot_tol: float) -> None:
     if not pivot_tol > 0:
         raise InvalidInputError(f"pivot_tol must be positive, got {pivot_tol}")
-    return _kernels.rref(a.entries, a.n_rows, a.n_cols, pivot_tol, forward_only)
+
+
+def _rref(a: Matrix, pivot_tol: float):
+    """The rref kernel on `a`: (reduced entries, raw trail, rank)."""
+    _require_pivot_tol(pivot_tol)
+    return _kernels.rref(a.entries, a.n_rows, a.n_cols, pivot_tol)
 
 
 def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
@@ -120,8 +128,26 @@ def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
     return RrefResult(R=Matrix(a.n_rows, a.n_cols, tuple(reduced)), trail=trail, rank=rank)
 
 
-def _det_rank_steps(a: Matrix, pivot_tol: float, forward_only: bool = False) -> tuple[float, int, int]:
-    """Determinant, rank and trail length of square `a`, from one elimination.
+def _require_square(a: Matrix) -> None:
+    if not a.is_square:
+        raise DimensionError(f"determinant needs a square matrix, got {a.n_rows}x{a.n_cols}")
+
+
+def _require_finite(reduced) -> None:
+    if not all(map(math.isfinite, reduced)):
+        raise InvalidInputError("elimination overflowed: the reduced form has a non-finite entry")
+
+
+def _det_from(prod: float, rank: int, n: int) -> float:
+    """The determinant that a product of det factors and a rank give."""
+    if rank < n:
+        return 0.0
+    # A product that underflowed to +-0.0 is a determinant that overflows.
+    return 1.0 / prod if prod else math.copysign(math.inf, prod)
+
+
+def _det_rank_steps(a: Matrix, pivot_tol: float) -> tuple[float, int, int]:
+    """Determinant, rank and trail length of square `a`, from one full reduction.
 
     A full-rank n x n matrix reduces to the identity through elementary
     operations E_1..E_k, so its determinant is the reciprocal of the product
@@ -132,13 +158,10 @@ def _det_rank_steps(a: Matrix, pivot_tol: float, forward_only: bool = False) -> 
 
     Elimination that overflows is rejected as `rref_with_trail` rejects it:
     a zero scale factor or a non-finite reduced entry raises
-    InvalidInputError. `forward_only` skips the elimination above each
-    pivot (see `_kernels.rref`): the determinant and rank are the same, the
-    trail is shorter, and an overflow there is not seen.
+    InvalidInputError.
     """
-    if not a.is_square:
-        raise DimensionError(f"determinant needs a square matrix, got {a.n_rows}x{a.n_cols}")
-    reduced, raw_trail, rank = _rref(a, pivot_tol, forward_only)
+    _require_square(a)
+    reduced, raw_trail, rank = _rref(a, pivot_tol)
     prod = 1.0
     for kind, _, _, factor in raw_trail:
         if kind == "scale_row":
@@ -147,20 +170,144 @@ def _det_rank_steps(a: Matrix, pivot_tol: float, forward_only: bool = False) -> 
             prod *= factor
         elif kind == "swap_rows":
             prod *= -1.0
-    if not all(map(math.isfinite, reduced)):
-        raise InvalidInputError("elimination overflowed: the reduced form has a non-finite entry")
-    # A product that underflowed to +-0.0 is a determinant that overflows.
-    det = 0.0 if rank < a.n_rows else 1.0 / prod if prod else math.copysign(math.inf, prod)
-    return det, rank, len(raw_trail)
+    _require_finite(reduced)
+    return _det_from(prod, rank, a.n_rows), rank, len(raw_trail)
 
 
 def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
-    """Determinant computed from the elimination trail.
+    """Determinant from forward elimination with partial pivoting.
 
-    A full-rank n x n matrix reduces to the identity through elementary
-    operations E_1..E_k, so det(a) is the reciprocal of the product of the
-    det factors of the trail. Rank-deficient input returns exactly 0.0.
-    Only forward elimination runs: the steps above each pivot are add-
-    multiples, whose det factor is 1.
+    The elimination is `rref_with_trail`'s below each pivot: the same
+    swaps and scale factors, whose det factors (-1.0 per swap, the factor
+    of a scale step) multiply in trail order to the reciprocal of det(a).
+    No trail is kept, and nothing above a pivot is eliminated, since those
+    add-multiple steps have det factor 1; an overflow there is not seen.
+    Rank-deficient input returns exactly 0.0, and a determinant that
+    overflows +-inf. A zero scale factor, then a non-finite entry of the
+    forward-reduced form, raises InvalidInputError.
+
+    For n <= `_kernels._SHAPE_KERNEL_MAX_N` a function generated for n
+    (`_det_kernel`) runs the elimination; it declines every input outside
+    the full-rank, finite case, and those and larger n run `_det_loop`.
+    Both give the same bits.
     """
-    return _det_rank_steps(a, pivot_tol, forward_only=True)[0]
+    _require_square(a)
+    _require_pivot_tol(pivot_tol)
+    n = a.n_rows
+    rank = n
+    prod = _det_kernel(n)(a.entries, pivot_tol) if n <= _kernels._SHAPE_KERNEL_MAX_N else None
+    if prod is None:
+        prod, rank = _det_loop(a.entries, n, pivot_tol)
+    return _det_from(prod, rank, n)
+
+
+def _det_loop(entries, n: int, pivot_tol: float) -> tuple[float, int]:
+    """(product of det factors, rank) of the forward elimination of n x n `entries`.
+
+    `_kernels.rref`'s steps below each pivot on whole rows, with the det
+    factors multiplied as they come instead of kept in a trail. Raises
+    InvalidInputError as `_det_rank_steps` does on the forward-reduced form.
+    """
+    r = list(entries)
+    prod = 1.0
+    pivot_row = 0
+    for col in range(n):
+        best = pivot_row
+        best_abs = abs(r[pivot_row * n + col])
+        for i in range(pivot_row + 1, n):
+            v = abs(r[i * n + col])
+            if v > best_abs:
+                best = i
+                best_abs = v
+        if best_abs <= pivot_tol:
+            for i in range(pivot_row, n):
+                r[i * n + col] = 0.0
+            continue
+        p_base = pivot_row * n
+        if best != pivot_row:
+            b_base = best * n
+            for j in range(n):
+                r[p_base + j], r[b_base + j] = r[b_base + j], r[p_base + j]
+            prod *= -1.0
+        pivot = r[p_base + col]
+        if pivot != 1.0:
+            f = 1.0 / pivot
+            if f == 0.0:
+                raise InvalidInputError("scale_row factor must be nonzero")
+            for j in range(n):
+                r[p_base + j] *= f
+            r[p_base + col] = 1.0
+            prod *= f
+        for i in range(pivot_row + 1, n):
+            x = r[i * n + col]
+            if x != 0.0:
+                f = -x
+                base = i * n
+                for j in range(n):
+                    r[base + j] += f * r[p_base + j]
+                r[base + col] = 0.0
+        pivot_row += 1
+    _require_finite(r)
+    return prod, pivot_row
+
+
+@functools.lru_cache(maxsize=None)
+def _det_kernel(n: int):
+    """`_det_loop` on n x n entries for full-rank, finite input, as one compiled function.
+
+    It takes (entries, pivot_tol) and returns the product of the det
+    factors, or None for an input it declines. Compiled on first use, once
+    per n.
+    """
+    return _kernels._compile(_det_source(n), f"det_{n}")
+
+
+def _det_source(n: int) -> str:
+    """Source of `_det_kernel(n)`, built from the integer n alone.
+
+    The row at position i holds the locals a<i>_<j>; a swap exchanges two
+    positions' locals. Column k updates only the columns right of k:
+    further left, the rows below the pivot hold zeros that no determinant
+    reads, and the pivot entry is read once. The steps are the loop's, on
+    the same operands in the same order, so the factors are its bits. A
+    magnitude is written `x if x >= 0.0 else -x`, which orders candidates
+    as abs() does, -0.0 and NaN included.
+
+    The function returns None where the loop's answer may not be a
+    full-rank product: a column without a candidate above pivot_tol, a
+    scale factor that is 0.0 (an infinite pivot) or not finite, or a
+    non-finite entry right of a pivot, checked last as x - x, which is 0.0
+    exactly when x is finite. That catches every overflow: a non-finite
+    entry stays non-finite, and each ends up as a pivot, right of a pivot,
+    or eliminated, which makes the rest of its row non-finite.
+    """
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    out = [f"def det_{n}(entries, tol):", f"    [{', '.join(v for row in a for v in row)}] = entries", "    prod = 1.0"]
+    for k in range(n):
+        below = range(k + 1, n)
+        out.append(f"    b = {a[k][k]} if {a[k][k]} >= 0.0 else -{a[k][k]}")
+        if below:
+            out.append(f"    best = {k}")
+        for i in below:
+            out += [
+                f"    v = {a[i][k]} if {a[i][k]} >= 0.0 else -{a[i][k]}",
+                "    if v > b:",
+                f"        best = {i}",
+                "        b = v",
+            ]
+        out += ["    if not b > tol:", "        return None"]
+        for i in below:
+            out += [
+                f"    {'if' if i == k + 1 else 'elif'} best == {i}:",
+                f"        {', '.join(a[k][k:] + a[i][k:])} = {', '.join(a[i][k:] + a[k][k:])}",
+                "        prod *= -1.0",
+            ]
+        out += [f"    f = 1.0 / {a[k][k]}", "    if f == 0.0 or f - f != 0.0:", "        return None", "    prod *= f"]
+        out += [f"    {u} *= f" for u in a[k][k + 1 :]]
+        for i in below:
+            out += [f"    x = -{a[i][k]}", "    if x != 0.0:"]
+            out += [f"        {a[i][j]} += x * {a[k][j]}" for j in below]
+    right = [u for k in range(n) for u in a[k][k + 1 :]]
+    if right:
+        out += [f"    if {' + '.join(f'({u} - {u})' for u in right)} != 0.0:", "        return None"]
+    return "\n".join([*out, "    return prod", ""])

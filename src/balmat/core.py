@@ -20,10 +20,10 @@ def one_write_init(cls):
     `object.__setattr__` call, to get past the class's `__setattr__`. This
     one assigns the instance `__dict__` once, then calls
     `self.__post_init__()` if the class has one: an instrument that rebinds
-    it on the class still sees every construction. Equality, hashing,
-    `repr`, `fields`, `replace` and pickling stay the dataclass's. The class
-    is declared with `init=False`, so that no other `__init__` is built,
-    and every field is an init field without a default.
+    it on the class still sees every construction from outside data.
+    Equality, hashing, `repr`, `fields`, `replace` and pickling stay the
+    dataclass's. The class is declared with `init=False`, so that no other
+    `__init__` is built, and every field is an init field without a default.
     """
     params = cls.__dataclass_params__
     if params.init or not params.frozen:
@@ -158,6 +158,23 @@ class Matrix:
 
     def __str__(self) -> str:
         return "\n".join("  ".join(f"{v:.12g}" for v in self.row(i)) for i in range(self.n_rows))
+
+
+def _generated_matrix(n: int, entries: tuple[float, ...]) -> Matrix:
+    """The n x n `Matrix` of a generator's n*n float entries, validated once.
+
+    The entries are floats by construction, so the per-entry check of
+    `Matrix.__post_init__` is skipped when one C call proves them finite: a
+    finite product has no infinite or NaN factor. A product that is not
+    finite (an entry is not, or the product overflows) takes the validating
+    constructor, which raises InvalidInputError for a non-finite entry.
+    """
+    p = math.prod(entries)
+    if p - p != 0.0:
+        return Matrix(n, n, entries)
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "__dict__", {"n_rows": n, "n_cols": n, "entries": entries})
+    return m
 
 
 def matrix_from_rows(rows: Sequence[Iterable[float]]) -> Matrix:

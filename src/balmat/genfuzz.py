@@ -35,6 +35,7 @@ from balmat.core import (
     CheckRecord,
     Matrix,
     TolerancePolicy,
+    _generated_matrix,
     approx_eq,
     constant_matrix,
 )
@@ -344,7 +345,7 @@ def _generate_entries(rng: random.Random, spec: GenSpec) -> list[float]:
 
 
 def _generate_with(rng: random.Random, spec: GenSpec) -> Matrix:
-    return Matrix(spec.n, spec.n, tuple(_generate_entries(rng, spec)))
+    return _generated_matrix(spec.n, tuple(_generate_entries(rng, spec)))
 
 
 def generate(spec: GenSpec) -> Matrix:
@@ -418,7 +419,7 @@ def _gen_pair(rng, spec, ctx):
 
 def _gen_abs_one(rng, spec, ctx):
     # Mirror into the positive orthant; squares (and thus balance) unchanged.
-    return (Matrix(spec.n, spec.n, tuple([abs(v) for v in _generate_entries(rng, spec)])),)
+    return (_generated_matrix(spec.n, tuple([abs(v) for v in _generate_entries(rng, spec)])),)
 
 
 def _check_closure(op: str, factor: float, ms, ctx):
@@ -494,7 +495,8 @@ def _check_det_nonzero(ms, ctx):
     require(a.is_square, "not-square")
     require_balanced(a, ctx.tol)
     moduli = [abs(e) for e in a.entries]
-    require(not _kernels.sums_all_close(moduli, ctx.tol.rtol, ctx.tol.atol), "equal-moduli")
+    # True when every pair of moduli agrees within the tolerance.
+    require(not _kernels.axis_balance(moduli, ctx.tol.rtol, ctx.tol.atol)[1], "equal-moduli")
     det = algebra.det_via_trail(a, ctx.pivot_tol)
     return CheckRecord.bounded("det_nonzero", ctx.pivot_tol, abs(det))
 

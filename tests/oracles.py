@@ -17,6 +17,7 @@ from balmat.algebra import ElementaryOp
 from balmat.balance import balance_defect, classify_balance
 from balmat.core import CheckRecord, Matrix, TolerancePolicy
 from balmat.discrepancy import InteriorMatch, discrepancy_report, interior
+from balmat.errors import DimensionError, InvalidInputError
 
 
 def canonical(obj):
@@ -359,3 +360,95 @@ def random_orthogonal(rng, n: int) -> list[list[float]]:
             for i in range(n):
                 q[i][j] = -q[i][j]
     return q
+
+
+# The determinant as it was before it had a kernel of its own, kept
+# verbatim: the general rref in its forward-only mode, then the product of
+# the trail's det factors. `balmat.algebra.det_via_trail` must agree with it
+# bit for bit, and raise the same errors with the same messages.
+
+
+def rref(entries, n, m, pivot_tol, forward_only=False):
+    """Reduced row echelon form with a trail of elementary row operations.
+
+    Partial pivoting: the largest-magnitude candidate in each column is
+    swapped into pivot position; candidates at or below `pivot_tol` are
+    treated as zero. Pivot entries are forced to exactly 1.0, and eliminated
+    entries and the candidates of a column without a pivot to exactly 0.0.
+    Returns (reduced_entries, trail, rank) where the trail is a list of
+    (kind, i, j, factor) tuples, the fields of `algebra.ElementaryOp`.
+
+    With `forward_only` set, rows above each pivot are left as they are, so
+    the result is a row echelon form with unit pivots. A row is complete by
+    the time it becomes the pivot row, so the swaps, the scale factors and
+    the rank are bit for bit those of the full reduction.
+    """
+    r = list(entries)
+    trail = []
+    pivot_row = 0
+    for col in range(m):
+        if pivot_row >= n:
+            break
+        best = pivot_row
+        best_abs = abs(r[pivot_row * m + col])
+        for i in range(pivot_row + 1, n):
+            v = abs(r[i * m + col])
+            if v > best_abs:
+                best = i
+                best_abs = v
+        if best_abs <= pivot_tol:
+            # Store them as zero, so that scaling a later pivot row cannot
+            # lift a residue above pivot_tol.
+            for i in range(pivot_row, n):
+                r[i * m + col] = 0.0
+            continue
+        if best != pivot_row:
+            a_base = pivot_row * m
+            b_base = best * m
+            for j in range(m):
+                r[a_base + j], r[b_base + j] = r[b_base + j], r[a_base + j]
+            trail.append(("swap_rows", pivot_row, best, 0.0))
+        pivot = r[pivot_row * m + col]
+        if pivot != 1.0:
+            f = 1.0 / pivot
+            base = pivot_row * m
+            for j in range(m):
+                r[base + j] *= f
+            r[base + col] = 1.0
+            trail.append(("scale_row", pivot_row, pivot_row, f))
+        p_base = pivot_row * m
+        for i in range(pivot_row + 1 if forward_only else 0, n):
+            if i == pivot_row:
+                continue
+            x = r[i * m + col]
+            if x != 0.0:
+                f = -x
+                base = i * m
+                for j in range(m):
+                    r[base + j] += f * r[p_base + j]
+                r[base + col] = 0.0
+                trail.append(("add_multiple", i, pivot_row, f))
+        pivot_row += 1
+    return r, trail, pivot_row
+
+
+def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
+    """Determinant from the forward-only trail, as `balmat.algebra` computed it."""
+    if not a.is_square:
+        raise DimensionError(f"determinant needs a square matrix, got {a.n_rows}x{a.n_cols}")
+    if not pivot_tol > 0:
+        raise InvalidInputError(f"pivot_tol must be positive, got {pivot_tol}")
+    reduced, raw_trail, rank = rref(a.entries, a.n_rows, a.n_cols, pivot_tol, forward_only=True)
+    prod = 1.0
+    for kind, _, _, factor in raw_trail:
+        if kind == "scale_row":
+            if factor == 0.0:
+                raise InvalidInputError("scale_row factor must be nonzero")
+            prod *= factor
+        elif kind == "swap_rows":
+            prod *= -1.0
+    if not all(map(math.isfinite, reduced)):
+        raise InvalidInputError("elimination overflowed: the reduced form has a non-finite entry")
+    # A product that underflowed to +-0.0 is a determinant that overflows.
+    det = 0.0 if rank < a.n_rows else 1.0 / prod if prod else math.copysign(math.inf, prod)
+    return det

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -20,8 +21,9 @@ from balmat.algebra import (
     transpose,
 )
 from balmat.balance import balance_defect
-from balmat.core import Matrix, constant_matrix, identity, matrix_from_rows
+from balmat.core import GENERATOR_KINDS, Matrix, constant_matrix, identity, matrix_from_rows
 from balmat.errors import DimensionError, InvalidInputError, SingularMatrixError
+from balmat.genfuzz import GenSpec, generate
 
 import oracles
 
@@ -198,8 +200,7 @@ class TestRref:
         # The kernel writes each step as ElementaryOp's own fields, so the
         # trail is built without translating them.
         full = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL)[1]
-        fwd = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL, forward_only=True)[1]
-        assert {op[0] for op in full + fwd} <= {"swap_rows", "scale_row", "add_multiple"}
+        assert {op[0] for op in full} <= {"swap_rows", "scale_row", "add_multiple"}
         assert rref_with_trail(m, PIVOT_TOL).trail == tuple(ElementaryOp(*op) for op in full)
 
     @given(well_scaled_matrices(max_dim=4))
@@ -216,6 +217,51 @@ class TestRref:
         rank_t = rref_with_trail(transpose(m), PIVOT_TOL).rank
         assert rank == rank_t
         assert rank == int(np.linalg.matrix_rank(np.array(m.to_rows()), tol=PIVOT_TOL))
+
+
+def _det_outcome(det, m, pivot_tol):
+    """float.hex of det(m, pivot_tol), or the type and message of what it raises."""
+    try:
+        return det(m, pivot_tol).hex()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc).__name__, str(exc)
+
+
+def det_sweep():
+    """Square inputs for the determinant at n = 1..10: past the kernel bound too.
+
+    Generated families at three scales, each with a rank-deficient twin
+    whose last row repeats its first, and random inputs from 1e0 down to
+    subnormal and up to 1e308, with 0.0 and -0.0 mixed in. A third of the
+    random inputs are upper triangular with small pivots and entries near
+    the float maximum, whose overflow right of a pivot meets no elimination.
+    """
+    for n in range(1, 11):
+        for kind in GENERATOR_KINDS:
+            if (kind == "symmetric2" and n != 2) or (kind == "hadamard_like" and n & (n - 1)):
+                continue
+            for noise, high, seed in itertools.product((0.0, 0.3), (100.0, 1e150, 1e300), range(3)):
+                m = generate(GenSpec(kind=kind, n=n, noise=noise, seed=seed, entry_high=high))
+                yield m
+                if n > 1:
+                    yield Matrix(n, n, m.entries[: (n - 1) * n] + m.entries[:n])
+    rng = random.Random(26)
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        scale = 10.0 ** rng.choice((0, 150, -150, 300, -300, 308))
+        if rng.random() < 0.2:
+            scale = 1e-300 * 10.0 ** rng.choice((-8, -15, -20))  # subnormal
+        entries = [rng.choice((0.0, -0.0)) if rng.random() < 0.2 else rng.uniform(-1, 1) * scale for _ in range(n * n)]
+        if rng.random() < 0.3:
+            for k in range(n * n):
+                i, j = divmod(k, n)
+                if i > j:
+                    entries[k] = 0.0
+                elif i == j:
+                    entries[k] = rng.uniform(0.5, 2.0) * 10.0 ** rng.choice((0, -5, -100, -300))
+                elif rng.random() < 0.3:
+                    entries[k] = rng.uniform(-1.7, 1.7) * 1e308
+        yield Matrix(n, n, tuple(entries))
 
 
 class TestDetViaTrail:
@@ -277,21 +323,27 @@ class TestDetViaTrail:
     @example(Matrix(2, 2, (1e-12, 1.0, 3e-11, 1.0)))
     @example(Matrix(3, 3, (1.0, 2.0, 3.0, 2.0, 4.0, 6.0 + 3e-11, 1e-12, 0.0, 1.0)))
     def test_forward_only_matches_the_full_reduction(self, m):
-        det, rank, steps = _det_rank_steps(m, PIVOT_TOL)
-        fwd_det, fwd_rank, fwd_steps = _det_rank_steps(m, PIVOT_TOL, forward_only=True)
-        assert det_via_trail(m, PIVOT_TOL).hex() == fwd_det.hex() == det.hex()
-        assert fwd_rank == rank and fwd_steps <= steps
-        # Same swaps and scale factors, in the same order; only the
-        # add-multiples above the pivots are gone.
-        full = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL)[1]
-        fwd = _kernels.rref(m.entries, m.n_rows, m.n_cols, PIVOT_TOL, forward_only=True)[1]
-        assert all(i > j for kind, i, j, _ in fwd if kind == "add_multiple")
-        assert [op for op in fwd if op[0] != "add_multiple"] == [
-            op for op in full if op[0] != "add_multiple"
-        ]
-        assert [op for op in fwd if op[0] == "add_multiple"] == [
-            op for op in full if op[0] == "add_multiple" and op[1] > op[2]
-        ]
+        # The forward elimination's swaps and scale factors are the full
+        # reduction's: a row is complete by the time it becomes the pivot row.
+        det = _det_rank_steps(m, PIVOT_TOL)[0]
+        assert det_via_trail(m, PIVOT_TOL).hex() == det.hex()
+
+    @pytest.mark.parametrize("pivot_tol", [1e-10, 1e-3, 1e-320])
+    def test_matches_the_forward_only_trail_bit_for_bit(self, pivot_tol):
+        seen = set()
+        for m in det_sweep():
+            want = _det_outcome(oracles.det_via_trail, m, pivot_tol)
+            assert _det_outcome(det_via_trail, m, pivot_tol) == want, (m, pivot_tol)
+            seen.add(want if isinstance(want, tuple) else "0.0" if want == "0x0.0p+0" else want.strip("-")[:3])
+        # Every branch of the contract is met: the error messages, exact
+        # zeros, infinities and finite determinants.
+        assert {
+            ("InvalidInputError", "scale_row factor must be nonzero"),
+            ("InvalidInputError", "elimination overflowed: the reduced form has a non-finite entry"),
+            "0.0",
+            "inf",
+            "0x1",
+        } <= seen
 
     def test_matches_cofactor_oracle_on_seeded_matrices(self):
         rng = random.Random(20240817)

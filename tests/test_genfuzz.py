@@ -7,12 +7,13 @@ import random
 import pytest
 
 import oracles
-from balmat import _kernels, algebra, spectral2
+from balmat import _kernels, algebra, genfuzz, spectral2
 from balmat.algebra import det_via_trail, rref_with_trail
 from balmat.balance import balance_defect, classify_balance
 from balmat.cli import _tolerance, build_parser
 from balmat.core import (
     DEFAULT_TOL,
+    GENERATOR_KINDS,
     CheckRecord,
     Matrix,
     TolerancePolicy,
@@ -26,7 +27,7 @@ from balmat.discrepancy import (
     find_balanced_interior,
     one_fair_row_check,
 )
-from balmat.errors import ConfigurationError, HypothesisError, UnsupportedDimensionError
+from balmat.errors import ConfigurationError, HypothesisError, InvalidInputError, UnsupportedDimensionError
 from balmat.genfuzz import (
     DEFECT_FLOOR,
     MAX_COUNTEREXAMPLES,
@@ -162,6 +163,33 @@ class TestGenerate:
         clean = generate(GenSpec(kind="constant", n=3, seed=11))
         noisy = generate(GenSpec(kind="constant", n=3, noise=0.1, seed=11))
         assert clean != noisy
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_generated_matrix_equals_the_validated_one(self, kind, noise):
+        # Generated entries skip Matrix.__post_init__, and come out as it
+        # would have made them: the same tuple of floats.
+        for n in (1, 2, 4, 5):
+            if (kind == "symmetric2" and n != 2) or (kind == "hadamard_like" and n == 5):
+                continue
+            for seed in range(5):
+                spec = GenSpec(kind=kind, n=n, noise=noise, seed=seed)
+                entries = genfuzz._generate_entries(random.Random(_mix(seed, 0)), spec)
+                m = generate(spec)
+                assert type(m) is Matrix and m.__dict__ == Matrix(n, n, tuple(entries)).__dict__
+                (mirrored,) = genfuzz._gen_abs_one(random.Random(_mix(seed, 0)), spec, FuzzContext())
+                assert mirrored == Matrix(n, n, tuple(abs(v) for v in entries))
+
+    def test_overflowing_generator_output_raises(self):
+        # Noise of radius 1e308 around 1.7e308 takes some entries past the
+        # float maximum, to inf.
+        spec = GenSpec(kind="constant", n=3, entry_low=1.7e308, entry_high=1.7e308, noise=1e308, seed=0)
+        with pytest.raises(InvalidInputError, match="matrix entries must be finite, got inf"):
+            generate(spec)
+
+    def test_an_overflowing_product_of_finite_entries_still_builds(self):
+        m = generate(GenSpec(kind="constant", n=2, entry_low=1e200, entry_high=1e200, seed=0))
+        assert m == Matrix(2, 2, (1e200,) * 4)
 
 
 #: Both sides of the bound on compiled Householder kernels.
@@ -419,12 +447,22 @@ class TestCampaigns:
             assert replayed is not None and not replayed.holds
 
     def test_replay_on_hand_built_violation(self):
-        # row deviation 0.5 sits inside [eps, 2*eps) for eps = 0.4: rows
-        # test unfair while columns test fair at the widened budget, which
-        # the transfer check reports as a violation
-        m = matrix_from_rows([[2.0, 1.0], [1.0, 2.0]])
-        rec = replay_counterexample("fairness_transfer", (m,), FuzzContext(fair_eps=0.4))
+        # Square sums 5, 5 and 2, 8 pass as balanced only at rtol 0.8. The
+        # columns are constant, so fair at eps = 0.2, while the rows deviate
+        # by 0.5, past the widened budget 0.4.
+        m = matrix_from_rows([[1.0, 2.0], [1.0, 2.0]])
+        ctx = FuzzContext(TolerancePolicy(rtol=0.8, atol=1e-9), fair_eps=0.2)
+        rec = replay_counterexample("fairness_transfer", (m,), ctx)
         assert rec is not None and not rec.holds
+        assert (rec.lhs, rec.rhs) == (0.5, 0.0)
+
+    def test_transfer_holds_where_both_axes_sit_between_eps_and_twice_eps(self):
+        # Both deviations are 0.5, in [eps, 2*eps) for eps = 0.4: neither
+        # axis is fair at eps, both are at the widened budget.
+        m = matrix_from_rows([[2.0, 1.0], [1.0, 2.0]])
+        assert replay_counterexample("fairness_transfer", (m,), FuzzContext(fair_eps=0.4)).holds
+        rep = fuzz_campaign("fairness_transfer", GenSpec(kind="symmetric2", seed=11), 3000)
+        assert (rep.passes, rep.violations) == (3000, 0)
 
     def test_counterexamples_capped(self):
         spec = GenSpec(kind="scaled_orthogonal", n=4, seed=33)
@@ -583,7 +621,7 @@ class TestWorkPerTrial:
         assert len(rep.defect_error_pairs) == 50
 
     def test_one_matrix_per_generated_input(self, monkeypatch):
-        built = self.count_calls(monkeypatch, Matrix, "__post_init__")
+        built = self.count_calls(monkeypatch, genfuzz, "_generated_matrix")
         rep = fuzz_campaign("trace_entry", GenSpec(kind="perturbed", seed=6), 40)
         assert rep.trials == 40
         assert built[0] == 40
@@ -591,7 +629,8 @@ class TestWorkPerTrial:
     def test_corollary_classifies_the_input_once(self, monkeypatch):
         # The blocks are checked from one table of run square sums: no
         # block is built as a Matrix or summed by `classify_balance`.
-        built = self.count_calls(monkeypatch, Matrix, "__post_init__")
+        built = self.count_calls(monkeypatch, genfuzz, "_generated_matrix")
+        post_init = self.count_calls(monkeypatch, Matrix, "__post_init__")
         balance = self.count_calls(monkeypatch, _kernels, "balance")
         rep = fuzz_campaign(
             "interior_fair_corollary",
@@ -601,6 +640,7 @@ class TestWorkPerTrial:
         )
         assert rep.passes == 10
         assert built[0] == balance[0] == 10
+        assert post_init[0] == 0
 
     @pytest.mark.parametrize("name", ["estimator_exact", "estimator_scaling"])
     def test_replay_returns_the_record(self, name):

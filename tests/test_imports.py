@@ -69,11 +69,11 @@ def test_fuzz_command_still_runs(tmp_path):
 def test_import_genfuzz_compiles_no_kernel(tmp_path):
     code = (
         "import balmat.genfuzz as g; "
-        "print(g._householder_kernel.cache_info().currsize, g._kernels._kernel.cache_info().currsize)"
+        "print(*(k.cache_info().currsize for k in (g._householder_kernel, g._kernels._kernel, g.algebra._det_kernel)))"
     )
     proc = _child(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0\n"
+    assert proc.stdout == "0 0 0\n"
 
 
 def test_every_public_name_is_its_submodules_object():

@@ -21,10 +21,10 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from balmat import _kernels
+from balmat import _kernels, algebra
 from balmat.algebra import det_via_trail
 from balmat.balance import classify_balance
-from balmat.core import Matrix, matrix_from_rows
+from balmat.core import Matrix, identity, matrix_from_rows
 
 # `tests/oracles.py` already holds the module name `oracles`.
 _spec = importlib.util.spec_from_file_location(
@@ -175,31 +175,58 @@ def _run_shape_kernels(n, m):
     _kernels.line_stats(entries, n, m)
 
 
+def _run_det(n):
+    assert det_via_trail(identity(n)) == 1.0
+
+
 def test_shapes_past_the_bound_compile_nothing():
     before = _kernels._kernel.cache_info()
+    det_before = algebra._det_kernel.cache_info()
     for n, m in [(K + 1, 1), (1, K + 1), (K + 1, K), (K, K + 1)]:
         _run_shape_kernels(n, m)
+    _run_det(K + 1)
     assert _kernels._kernel.cache_info() == before
+    assert algebra._det_kernel.cache_info() == det_before
 
 
 def test_each_shape_compiles_once():
     _run_shape_kernels(3, 4)
+    _run_det(3)
     before = _kernels._kernel.cache_info()
+    det_before = algebra._det_kernel.cache_info()
     _run_shape_kernels(3, 4)
+    _run_det(3)
     after = _kernels._kernel.cache_info()
+    det_after = algebra._det_kernel.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert after.hits == before.hits + 3
+    assert (det_after.misses, det_after.currsize) == (det_before.misses, det_before.currsize)
+    assert det_after.hits == det_before.hits + 1
 
 
-@pytest.mark.parametrize("kind", ["row_square_sums", "col_square_sums", "line_stats"])
+@pytest.mark.parametrize("kind", ["row_square_sums", "col_square_sums", "line_stats", "det"])
 def test_shape_kernels_call_nothing(kind):
-    # No builtin min() or max(): a call costs more than the comparisons it saves.
-    tree = ast.parse(_kernels._kernel_source(kind, 3, K))
+    # No builtin min(), max() or abs(): a call costs more than the comparisons it saves.
+    source = algebra._det_source(K) if kind == "det" else _kernels._kernel_source(kind, 3, K)
+    tree = ast.parse(source)
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
 #: Any float, NaN and the infinities included.
 any_float = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@given(any_float, any_float, st.one_of(st.floats(min_value=0.0), st.sampled_from([1e-320, 1e-10])))
+def test_inline_magnitude_picks_the_pivot_abs_picks(x, y, tol):
+    # The determinant kernel writes |x| as `x if x >= 0.0 else -x`: it can
+    # differ from abs(x) only in the sign of 0.0 or NaN, which no
+    # comparison sees.
+    def mag(v):
+        return v if v >= 0.0 else -v
+
+    assert (mag(x) > mag(y)) == (abs(x) > abs(y))
+    assert (mag(x) > tol) == (abs(x) > tol)
+    assert (mag(x) <= tol) == (abs(x) <= tol)
 
 
 @given(

@@ -6,8 +6,10 @@ and `DiscrepancyReport` store their fields by assigning the instance
 assignment and deletion raise FrozenInstanceError; equality, hashing,
 `repr`, `fields`, `replace` and pickling are the dataclass's; `Matrix` and
 `CheckRecord` still validate; and an instrument that rebinds
-`Matrix.__post_init__` sees every construction. The one write rests on
-CPython's handling of `__dict__`, so each interpreter checks it.
+`Matrix.__post_init__` sees every construction from outside data (a
+generator's output takes `core._generated_matrix`, which checks it once
+itself). The one write rests on CPython's handling of `__dict__`, so each
+interpreter checks it.
 
 This module needs no pytest:
 
