@@ -1,8 +1,8 @@
 """Numeric kernels on flat row-major lists of floats with explicit dimensions.
 
-Square sums, balance verdicts and line statistics run, for n, m <=
-`_SHAPE_KERNEL_MAX_N`, as straight-line functions generated for their
-(n, m) shape: the entries are unpacked into locals and every loop is
+Balance (square sums, defects and verdicts) and line statistics run, for
+n, m <= `_SHAPE_KERNEL_MAX_N`, as straight-line functions generated for
+their (n, m) shape: the entries are unpacked into locals and every loop is
 written out, so no slicing, `for` iteration or `append` is left around the
 arithmetic. Each performs the loop's float operations on the same operands
 in the same order, so the results are the loop's bit for bit. The
@@ -35,16 +35,12 @@ def sum_squares(values):
 
 
 def row_square_sums(entries, n, m):
-    """Per-row sums of squared entries."""
-    if n <= _SHAPE_KERNEL_MAX_N and m <= _SHAPE_KERNEL_MAX_N:
-        return _kernel("row_square_sums", n, m)(entries)
+    """Per-row sums of squared entries: `balance`'s loop above the shape bound."""
     return [sum_squares(entries[base : base + m]) for base in range(0, n * m, m)]
 
 
 def col_square_sums(entries, n, m):
-    """Per-column sums of squared entries."""
-    if n <= _SHAPE_KERNEL_MAX_N and m <= _SHAPE_KERNEL_MAX_N:
-        return _kernel("col_square_sums", n, m)(entries)
+    """Per-column sums of squared entries: `balance`'s loop above the shape bound."""
     return [sum_squares(entries[j::m]) for j in range(m)]
 
 
@@ -277,7 +273,7 @@ def _line_stats(lines):
 # Generated straight-line kernels
 # ---------------------------------------------------------------------------
 
-#: Largest n and m for which square sums, line statistics and determinants
+#: Largest n and m for which balance, line statistics and determinants
 #: run as generated straight-line code; larger shapes run the loops. Every shape
 #: measured from 1x1 to 16x16 runs faster than the loop, so this is a budget
 #: for compile time and memory, set at the largest shape a benchmark
@@ -303,24 +299,25 @@ def _kernel(kind, n, m):
 def _kernel_source(kind, n, m):
     """Source of `_kernel(kind, n, m)`, built from the kind and the shape alone.
 
-    Entry k of the row-major input is the local e<k>. Line statistics name
-    row i's sum, mean and deviation rs<i>, rm<i>, rd<i>, and column j's
-    cs<j>, cm<j>, cd<j>.
+    Entry k of the row-major input is the local e<k>. A kind other than
+    "balance" and "line_stats" raises KeyError.
     """
+    source = {"balance": _balance_source, "line_stats": _line_stats_source}[kind]
     e = [f"e{k}" for k in range(n * m)]
-    rows = [e[b : b + m] for b in range(0, n * m, m)]
-    cols = [e[j::m] for j in range(m)]
-    if kind == "balance":
-        return _balance_source(n, m, rows, cols)
-    out = [f"def {kind}_{n}x{m}(entries):", f"    [{', '.join(e)}] = entries"]
-    # Sums run left to right from 0.0, as the loops' `s += ...` add.
-    if kind != "line_stats":
-        lines = rows if kind == "row_square_sums" else cols
-        sums = (" + ".join(["0.0", *(f"{v}*{v}" for v in line)]) for line in lines)
-        return "\n".join([*out, f"    return [{', '.join(sums)}]", ""])
+    return source(n, m, [e[b : b + m] for b in range(0, n * m, m)], [e[j::m] for j in range(m)])
+
+
+def _line_stats_source(n, m, rows, cols):
+    """Source of the n x m `line_stats` kernel; `rows` and `cols` name its entries.
+
+    Row i's sum, mean and deviation are the locals rs<i>, rm<i>, rd<i>, and
+    column j's cs<j>, cm<j>, cd<j>.
+    """
+    out = [f"def line_stats_{n}x{m}(entries):", f"    [{', '.join(v for row in rows for v in row)}] = entries"]
     for axis, lines in (("r", rows), ("c", cols)):
         for i, line in enumerate(lines):
             s, mean, dev = f"{axis}s{i}", f"{axis}m{i}", f"{axis}d{i}"
+            # Sums run left to right from 0.0, as the loop's `s += e` adds.
             out += [f"    {s} = {' + '.join(['0.0', *line])}", f"    lo = hi = {line[0]}"]
             for v in line[1:]:
                 out += [f"    if {v} < lo:", f"        lo = {v}", f"    elif {v} > hi:", f"        hi = {v}"]

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 
 from balmat import _kernels
-from balmat.core import DEFAULT_TOL, Matrix, TolerancePolicy
+from balmat.core import DEFAULT_TOL, Matrix, TolerancePolicy, _generated_matrix
 from balmat.errors import DimensionError, InvalidInputError, SingularMatrixError
 
 
@@ -55,18 +55,18 @@ class RrefResult:
 
 def transpose(a: Matrix) -> Matrix:
     e, m = a.entries, a.n_cols
-    return Matrix(m, a.n_rows, tuple([v for j in range(m) for v in e[j::m]]))
+    return _generated_matrix(m, a.n_rows, tuple([v for j in range(m) for v in e[j::m]]))
 
 
 def scale(lam: float, a: Matrix) -> Matrix:
     lam = float(lam)
-    return Matrix(a.n_rows, a.n_cols, tuple([lam * e for e in a.entries]))
+    return _generated_matrix(a.n_rows, a.n_cols, tuple([lam * e for e in a.entries]))
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     if a.n_rows != b.n_rows or a.n_cols != b.n_cols:
         raise DimensionError(f"cannot add {a.n_rows}x{a.n_cols} and {b.n_rows}x{b.n_cols}")
-    return Matrix(a.n_rows, a.n_cols, tuple(map(operator.add, a.entries, b.entries)))
+    return _generated_matrix(a.n_rows, a.n_cols, tuple(map(operator.add, a.entries, b.entries)))
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -80,7 +80,7 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
             for t in range(k):
                 s += a.entries[i * k + t] * b.entries[t * m + j]
             out.append(s)
-    return Matrix(n, m, tuple(out))
+    return _generated_matrix(n, m, tuple(out))
 
 
 def det2(a: Matrix) -> float:
@@ -102,7 +102,7 @@ def inverse2(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> Matrix:
         raise SingularMatrixError(f"2x2 matrix is singular under atol={tol.atol} (det={d})")
     f = 1.0 / d
     e = a.entries
-    return Matrix(2, 2, (e[3] * f, -e[1] * f, -e[2] * f, e[0] * f))
+    return _generated_matrix(2, 2, (e[3] * f, -e[1] * f, -e[2] * f, e[0] * f))
 
 
 def _require_pivot_tol(pivot_tol: float) -> None:
@@ -125,7 +125,7 @@ def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
     """
     reduced, raw_trail, rank = _rref(a, pivot_tol)
     trail = tuple(ElementaryOp(*op) for op in raw_trail)
-    return RrefResult(R=Matrix(a.n_rows, a.n_cols, tuple(reduced)), trail=trail, rank=rank)
+    return RrefResult(R=_generated_matrix(a.n_rows, a.n_cols, tuple(reduced)), trail=trail, rank=rank)
 
 
 def _require_square(a: Matrix) -> None:

@@ -46,13 +46,17 @@ class BalanceReport:
         return nan_max(self.horizontal_defect, self.vertical_defect)
 
 
+def _axis_fields(a: Matrix, axis: Axis) -> tuple[tuple[float, ...], float]:
+    """(square sums, defect) of one axis, as `classify_balance` reports them."""
+    if axis not in ("rows", "columns"):
+        raise InvalidInputError(f"axis must be 'rows' or 'columns', got {axis!r}")
+    r = classify_balance(a)
+    return (r.row_square_sums, r.horizontal_defect) if axis == "rows" else (r.col_square_sums, r.vertical_defect)
+
+
 def square_sums(a: Matrix, axis: Axis) -> tuple[float, ...]:
     """Sum of squared entries of each row (axis="rows") or column."""
-    if axis == "rows":
-        return tuple(_kernels.row_square_sums(a.entries, a.n_rows, a.n_cols))
-    if axis == "columns":
-        return tuple(_kernels.col_square_sums(a.entries, a.n_rows, a.n_cols))
-    raise InvalidInputError(f"axis must be 'rows' or 'columns', got {axis!r}")
+    return _axis_fields(a, axis)[0]
 
 
 def balance_defect(a: Matrix, axis: Axis) -> float:
@@ -60,9 +64,9 @@ def balance_defect(a: Matrix, axis: Axis) -> float:
 
     Largest pairwise gap between the square sums, divided by
     max(1, largest sum): exactly 0 iff all sums are equal, and scale-free
-    for matrices of non-trivial magnitude.
+    for matrices of non-trivial magnitude. NaN when the sums overflow.
     """
-    return _kernels.spread_defect(square_sums(a, axis))
+    return _axis_fields(a, axis)[1]
 
 
 def classify_balance(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> BalanceReport:

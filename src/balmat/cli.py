@@ -86,11 +86,6 @@ def _read_matrix_csv(path: str) -> Matrix:
     return parse_matrix_csv(text)
 
 
-def serialize_csv(a: Matrix) -> str:
-    """Render a Matrix as CSV that parse_matrix_csv inverts exactly."""
-    return "\n".join(",".join(repr(v) for v in a.row(i)) for i in range(a.n_rows)) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # JSON rendering (17 significant digits, byte-stable)
 # ---------------------------------------------------------------------------

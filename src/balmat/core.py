@@ -90,7 +90,7 @@ def approx_eq(x: float, y: float, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 @one_write_init
 @dataclass(frozen=True, init=False)
 class Matrix:
-    """Immutable dense real matrix with row-major entries."""
+    """Immutable dense real matrix with row-major entries, each checked when built from outside data."""
 
     n_rows: int
     n_cols: int
@@ -104,18 +104,8 @@ class Matrix:
                 f"{self.n_rows}x{self.n_cols} matrix needs {self.n_rows * self.n_cols} entries, "
                 f"got {len(self.entries)}"
             )
-        entries = self.entries
-        if type(entries) is tuple:
-            # Already a tuple of finite floats, as every generated matrix is:
-            # nothing to convert.
-            isfinite = math.isfinite
-            for v in entries:
-                if type(v) is not float or not isfinite(v):
-                    break
-            else:
-                return
         cleaned = []
-        for value in entries:
+        for value in self.entries:
             try:
                 v = float(value)
             except (TypeError, ValueError, OverflowError):
@@ -160,20 +150,21 @@ class Matrix:
         return "\n".join("  ".join(f"{v:.12g}" for v in self.row(i)) for i in range(self.n_rows))
 
 
-def _generated_matrix(n: int, entries: tuple[float, ...]) -> Matrix:
-    """The n x n `Matrix` of a generator's n*n float entries, validated once.
+def _generated_matrix(n_rows: int, n_cols: int, entries: tuple[float, ...]) -> Matrix:
+    """The one constructor for a `Matrix` of float entries the program computed, validated once.
 
-    The entries are floats by construction, so the per-entry check of
-    `Matrix.__post_init__` is skipped when one C call proves them finite: a
-    finite product has no infinite or NaN factor. A product that is not
-    finite (an entry is not, or the product overflows) takes the validating
-    constructor, which raises InvalidInputError for a non-finite entry.
+    The per-entry check of `Matrix.__post_init__` is skipped when one C call
+    proves the entries finite: a finite product has no infinite or NaN
+    factor. A product that is not finite (an entry is not, or the product
+    overflows) takes the validating constructor, which raises
+    InvalidInputError for a non-finite entry; so does a shape that is not
+    positive, which `identity` and `constant_matrix` take from their caller.
     """
     p = math.prod(entries)
-    if p - p != 0.0:
-        return Matrix(n, n, entries)
+    if p - p != 0.0 or n_rows < 1 or n_cols < 1:
+        return Matrix(n_rows, n_cols, entries)
     m = object.__new__(Matrix)
-    object.__setattr__(m, "__dict__", {"n_rows": n, "n_cols": n, "entries": entries})
+    object.__setattr__(m, "__dict__", {"n_rows": n_rows, "n_cols": n_cols, "entries": entries})
     return m
 
 
@@ -198,11 +189,11 @@ def identity(n: int) -> Matrix:
     entries = [0.0] * (n * n)
     for i in range(n):
         entries[i * n + i] = 1.0
-    return Matrix(n, n, tuple(entries))
+    return _generated_matrix(n, n, tuple(entries))
 
 
 def constant_matrix(n_rows: int, n_cols: int, value: float) -> Matrix:
-    return Matrix(n_rows, n_cols, tuple([float(value)] * (n_rows * n_cols)))
+    return _generated_matrix(n_rows, n_cols, tuple([float(value)] * (n_rows * n_cols)))
 
 
 @one_write_init

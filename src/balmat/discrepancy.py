@@ -16,7 +16,7 @@ from operator import add
 
 from balmat import _kernels
 from balmat.balance import BalanceReport, classify_balance, nan_max, require_balanced, require_positive
-from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, one_write_init
+from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, _generated_matrix, one_write_init
 from balmat.errors import DimensionError, InvalidInputError
 
 #: Tolerance widening applied when a fairness verdict is transported to the
@@ -44,8 +44,8 @@ class DiscrepancyReport:
 
 def discrepancy_report(a: Matrix, fair_eps: float) -> DiscrepancyReport:
     """Compute sums, means, deviations, and fairness at threshold `fair_eps`."""
-    if not fair_eps > 0:
-        raise InvalidInputError(f"fair_eps must be positive, got {fair_eps}")
+    if not 0.0 < fair_eps < math.inf:
+        raise InvalidInputError(f"fair_eps must be finite and positive, got {fair_eps}")
     row_sums, col_sums, row_means, col_means, row_devs, col_devs = _kernels.line_stats(
         a.entries, a.n_rows, a.n_cols
     )
@@ -155,7 +155,7 @@ def interior(a: Matrix, row_start: int, row_count: int, col_start: int, col_coun
     for i in range(row_start, row_start + row_count):
         base = i * a.n_cols
         entries.extend(a.entries[base + col_start : base + col_start + col_count])
-    return Matrix(row_count, col_count, tuple(entries))
+    return _generated_matrix(row_count, col_count, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -345,7 +345,7 @@ def _generate_entries(rng: random.Random, spec: GenSpec) -> list[float]:
 
 
 def _generate_with(rng: random.Random, spec: GenSpec) -> Matrix:
-    return _generated_matrix(spec.n, tuple(_generate_entries(rng, spec)))
+    return _generated_matrix(spec.n, spec.n, tuple(_generate_entries(rng, spec)))
 
 
 def generate(spec: GenSpec) -> Matrix:
@@ -419,7 +419,7 @@ def _gen_pair(rng, spec, ctx):
 
 def _gen_abs_one(rng, spec, ctx):
     # Mirror into the positive orthant; squares (and thus balance) unchanged.
-    return (_generated_matrix(spec.n, tuple([abs(v) for v in _generate_entries(rng, spec)])),)
+    return (_generated_matrix(spec.n, spec.n, tuple([abs(v) for v in _generate_entries(rng, spec)])),)
 
 
 def _check_closure(op: str, factor: float, ms, ctx):
@@ -472,7 +472,7 @@ def _make_scale_inputs(rng, spec, ctx):
     m = _generate_with(rng, spec)
     mag = rng.uniform(1.0, 3.0)
     lam = mag if rng.random() < 0.5 else -mag
-    return (m, Matrix(1, 1, (lam,)))
+    return (m, _generated_matrix(1, 1, (lam,)))
 
 
 def _check_closure_scale(ms, ctx):
@@ -547,8 +547,8 @@ def _make_symmetric2_inputs(rng, spec, ctx):
         na = rng.uniform(-spec.noise, spec.noise)
         nb = rng.uniform(-spec.noise, spec.noise)
         nd = rng.uniform(-spec.noise, spec.noise)
-        return (Matrix(2, 2, (a + na, b + nb, b + nb, a + nd)),)
-    return (Matrix(2, 2, (a, b, b, a)),)
+        return (_generated_matrix(2, 2, (a + na, b + nb, b + nb, a + nd)),)
+    return (_generated_matrix(2, 2, (a, b, b, a)),)
 
 
 def _check_quadform_predict(ms, ctx):
@@ -597,7 +597,7 @@ def _make_one_fair_row_inputs(rng, spec, ctx):
     flat = [c] * n
     for i in range(1, n):
         flat += w[i:] + w[:i]
-    return (Matrix(n, n, tuple(flat)),)
+    return (_generated_matrix(n, n, tuple(flat)),)
 
 
 def _check_one_fair_row(ms, ctx):
@@ -649,7 +649,7 @@ def _make_homomorphism_inputs(rng, spec, ctx):
     amp = 0.1 * eps
     u = rng.uniform
     b = (base + u(-amp, amp), off + u(-amp, amp), off + u(-amp, amp), base + u(-amp, amp))
-    return (a, Matrix(2, 2, b))
+    return (a, _generated_matrix(2, 2, b))
 
 
 def _check_det_homomorphism(ms, ctx):
@@ -666,7 +666,7 @@ def _make_homomorphism_n_inputs(rng, spec, ctx):
     base = rng.uniform(spec.entry_low + eps, spec.entry_high + eps)
     amp = 0.1 * eps
     flat = [base + rng.uniform(-amp, amp) for _ in range(n * n)]
-    return (a, Matrix(n, n, tuple(flat)))
+    return (a, _generated_matrix(n, n, tuple(flat)))
 
 
 def _check_det_homomorphism_n(ms, ctx):

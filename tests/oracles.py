@@ -36,6 +36,11 @@ def canonical(obj):
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
+def serialize_csv(a: Matrix) -> str:
+    """Render a Matrix as CSV that `cli.parse_matrix_csv` inverts exactly."""
+    return "\n".join(",".join(repr(v) for v in a.row(i)) for i in range(a.n_rows)) + "\n"
+
+
 def det_cofactor(rows: list[list[float]]) -> float:
     """Determinant by recursive cofactor expansion along the first row."""
     n = len(rows)

@@ -27,6 +27,17 @@ def matrices(draw, max_dim=5, elements=entry):
     return matrix_from_rows(rows)
 
 
+def spread(sums):
+    """(max - min) / max(1, max), the balance defect's definition."""
+    hi = max(sums)
+    return (hi - min(sums)) / (hi if hi > 1.0 else 1.0)
+
+
+#: Entry styles: seeded magnitudes, and rows whose squares overflow (1e154,
+#: 1e200) or underflow to 0.0 (1e-200).
+AXIS_STYLES = ("seeded", 1e154, 1e200, 1e-200)
+
+
 class TestSquareSums:
     def test_all_ones_rows(self):
         # each row of the 3x3 unity matrix sums to 1^2 + 1^2 + 1^2 = 3
@@ -41,12 +52,35 @@ class TestSquareSums:
     def test_bad_axis(self):
         with pytest.raises(InvalidInputError):
             square_sums(identity(2), "diagonal")
+        with pytest.raises(InvalidInputError):
+            balance_defect(identity(2), "diagonal")
 
     @given(matrices())
     def test_matches_definition(self, m):
         row_sums, col_sums = oracles.square_sum_lists(m.to_rows())
         assert list(square_sums(m, "rows")) == pytest.approx(row_sums, rel=1e-12, abs=1e-12)
         assert list(square_sums(m, "columns")) == pytest.approx(col_sums, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_axis_numbers_are_classify_balances(self, n):
+        # `square_sums` and `balance_defect` read `classify_balance`'s fields.
+        rng = random.Random(n)
+        for m in range(1, 10):
+            for style in AXIS_STYLES:
+                rows = [[rng.uniform(-10.0, 10.0) for _ in range(m)] for _ in range(n)]
+                if style != "seeded":
+                    rows[rng.randrange(n)] = [style * rng.choice((1.0, -1.0)) for _ in range(m)]
+                a = matrix_from_rows(rows)
+                rep = classify_balance(a)
+                entries = list(a.entries)
+                for axis, sums, defect, want in (
+                    ("rows", rep.row_square_sums, rep.horizontal_defect, oracles.row_square_sums(entries, n, m)),
+                    ("columns", rep.col_square_sums, rep.vertical_defect, oracles.col_square_sums(entries, n, m)),
+                ):
+                    assert [v.hex() for v in square_sums(a, axis)] == [v.hex() for v in sums] == [
+                        v.hex() for v in want
+                    ], (style, n, m, axis)
+                    assert balance_defect(a, axis).hex() == defect.hex() == spread(want).hex(), (style, n, m, axis)
 
 
 class TestBalanceDefect:

@@ -19,12 +19,12 @@ from balmat.cli import (
     parse_matrix_csv,
     render_json,
     run,
-    serialize_csv,
 )
 from balmat.core import TolerancePolicy, matrix_from_rows
 from balmat.errors import ParseError
 from balmat.genfuzz import FuzzContext, GenSpec, fuzz_campaign
 
+from oracles import serialize_csv
 from test_imports import FILE_COMMANDS
 
 
@@ -274,6 +274,18 @@ class TestCommands:
         )
         assert code == 1
         assert "unknown property" in err
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command", ["fuzz", "discrepancy"])
+    def test_fair_eps_not_finite_and_positive_exit_1(self, csv_file, command, eps):
+        # The error names the setting the user gave, not a tolerance widened from it.
+        if command == "fuzz":
+            argv = ["fuzz", "--property", "interior_fair_corollary", "--kind", "constant", "--n", "3", "--trials", "3"]
+        else:
+            argv = ["discrepancy", csv_file]
+        code, out, err = run_cli([*argv, "--fair-eps", eps])
+        assert (code, out) == (1, "")
+        assert err == f"balmat {command}: error: fair_eps must be finite and positive, got {float(eps)}\n"
 
     def test_missing_file_exit_1(self):
         code, _, err = run_cli(["check", "/nonexistent/path.csv"])

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balmat.algebra import scale, transpose
 from balmat.core import (
     CheckRecord,
     Matrix,
     TolerancePolicy,
+    _generated_matrix,
     approx_eq,
     constant_matrix,
     identity,
@@ -121,11 +123,23 @@ class FloatSubclass(float):
     pass
 
 
+def count_post_init(monkeypatch):
+    """Shapes that `Matrix.__post_init__` sees from now on, validating as before."""
+    seen = []
+    original = Matrix.__post_init__
+
+    def counted(self):
+        seen.append(self.shape)
+        original(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    return seen
+
+
 class TestMatrixEntries:
     def test_tuple_of_finite_floats_is_kept(self):
         entries = (1.5, -0.0, 5e-324, -1e308)
         m = Matrix(2, 2, entries)
-        assert m.entries is entries
         assert [v.hex() for v in m.entries] == [v.hex() for v in entries]
 
     @pytest.mark.parametrize(
@@ -165,6 +179,72 @@ class TestMatrixEntries:
         with pytest.raises(InvalidInputError) as info:
             Matrix(1, 2, raw)
         assert str(info.value) == message
+
+    # `_generated_matrix`, the one constructor for entries the program computed.
+
+    def test_computed_entries_are_kept_bit_for_bit(self, monkeypatch):
+        entries = (1.5, -0.0, 5e-324, -1e308)
+        seen = count_post_init(monkeypatch)
+        m = _generated_matrix(2, 2, entries)
+        t = transpose(m)
+        assert m.entries is entries
+        assert [v.hex() for v in t.entries] == [v.hex() for v in (1.5, 5e-324, -0.0, -1e308)]
+        assert seen == []
+        assert m.__dict__ == Matrix(2, 2, entries).__dict__
+
+    def test_non_square_result(self, monkeypatch):
+        a = matrix_from_rows([[1, 2, 3], [4, 5, 6]])
+        seen = count_post_init(monkeypatch)
+        t = transpose(a)
+        assert seen == []
+        assert type(t) is Matrix and t.shape == (3, 2)
+        assert t.__dict__ == Matrix(3, 2, (1.0, 4.0, 2.0, 5.0, 3.0, 6.0)).__dict__
+
+    def test_finite_entries_whose_product_overflows_take_the_validating_constructor(self, monkeypatch):
+        # 64 entries of 1e10 multiply to inf, though each is finite.
+        a = constant_matrix(8, 8, 1.0)
+        seen = count_post_init(monkeypatch)
+        scaled = scale(1e10, a)
+        assert seen == [(8, 8)]
+        assert scaled.entries == (1e10,) * 64
+
+    @pytest.mark.parametrize(
+        "entries", [(1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf), (0.0, math.inf), (-0.0, math.nan)]
+    )
+    def test_non_finite_entries_raise_as_matrix_does(self, entries):
+        with pytest.raises(InvalidInputError) as want:
+            Matrix(1, 2, entries)
+        with pytest.raises(InvalidInputError) as got:
+            _generated_matrix(1, 2, entries)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: scale(1e300, constant_matrix(2, 2, 1e300)), "matrix entries must be finite, got inf"),
+            (lambda: scale(-1e300, constant_matrix(2, 2, 1e300)), "matrix entries must be finite, got -inf"),
+            (lambda: scale(math.inf, constant_matrix(1, 2, 0.0)), "matrix entries must be finite, got nan"),
+            (lambda: constant_matrix(2, 2, math.nan), "matrix entries must be finite, got nan"),
+        ],
+    )
+    def test_computed_inf_or_nan_raises(self, build, message):
+        with pytest.raises(InvalidInputError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: identity(0), "0x0"),
+            (lambda: identity(-1), "-1x-1"),
+            (lambda: constant_matrix(0, 2, 1.0), "0x2"),
+            (lambda: constant_matrix(2, -1, 1.0), "2x-1"),
+        ],
+    )
+    def test_a_shape_that_is_not_positive_raises(self, build, shape):
+        with pytest.raises(DimensionError) as info:
+            build()
+        assert str(info.value) == f"matrix dimensions must be positive, got {shape}"
 
 
 class TestCheckRecord:

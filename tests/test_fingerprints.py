@@ -48,7 +48,7 @@ def test_no_version_dependent_summation():
     sources += [(f"<householder_{n}>", genfuzz._householder_source(n)) for n in range(2, genfuzz._KERNEL_MAX_N + 1)]
     sources += [
         (f"<{kind}_{n}x{m}>", _kernels._kernel_source(kind, n, m))
-        for kind in ("row_square_sums", "col_square_sums", "line_stats")
+        for kind in ("balance", "line_stats")
         for n in (1, 2, 3, k)
         for m in (1, 2, 3, k)
     ]

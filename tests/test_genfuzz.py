@@ -3,6 +3,8 @@ import inspect
 import itertools
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +192,19 @@ class TestGenerate:
     def test_an_overflowing_product_of_finite_entries_still_builds(self):
         m = generate(GenSpec(kind="constant", n=2, entry_low=1e200, entry_high=1e200, seed=0))
         assert m == Matrix(2, 2, (1e200,) * 4)
+
+    @pytest.mark.parametrize("name", sorted(PROPERTIES))
+    def test_input_makers_build_what_matrix_would(self, name):
+        # Every input maker's matrices take `_generated_matrix`, which
+        # trusts its entries to be floats: they must be what the validating
+        # constructor makes of them.
+        ctx = FuzzContext(unfair_theta=1)
+        for spec in (GenSpec(kind="perturbed", n=2, noise=0.01, seed=3), GenSpec(kind="constant", n=3, seed=3)):
+            for index in range(5):
+                for m in PROPERTIES[name].make_inputs(random.Random(_mix(spec.seed, index)), spec, ctx):
+                    want = Matrix(m.n_rows, m.n_cols, m.entries)
+                    assert type(m.entries) is tuple and all(type(v) is float for v in m.entries)
+                    assert [v.hex() for v in m.entries] == [v.hex() for v in want.entries]
 
 
 #: Both sides of the bound on compiled Householder kernels.
@@ -882,3 +897,78 @@ class TestOneDefectProducer:
         assert len(want) >= 20
         assert [d.hex() for d, _ in report.defect_error_pairs] == want
         assert (noise == 0.0) == all(d == 0.0 for d, _ in report.defect_error_pairs)
+
+
+# ---------------------------------------------------------------------------
+# Theorem audit: every theorem-grade property holds on the inputs it covers
+# ---------------------------------------------------------------------------
+
+
+def readme_grades():
+    """{property: grade} from README's property table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return dict(re.findall(r"^\| `(\w+)` \| (\w+) \|", readme, re.MULTILINE))
+
+
+THEOREMS = sorted(name for name, grade in readme_grades().items() if grade == "theorem")
+
+#: (spec, trials): every generator kind at n=2, and the kinds that build n=4.
+AUDIT_GRID = [
+    *(
+        (GenSpec(kind=kind, n=2, noise=noise), 2000)
+        for kind, noise in (
+            ("constant", 0.0),
+            ("symmetric2", 0.0),
+            ("hadamard_like", 0.0),
+            ("scaled_orthogonal", 0.0),
+            ("perturbed", 0.0),
+            ("perturbed", 1e-7),
+        )
+    ),
+    *((GenSpec(kind=kind, n=4), 100) for kind in ("constant", "hadamard_like", "scaled_orthogonal", "perturbed")),
+]
+
+#: Theorems that no spec of the grid reaches past their premises: their
+#: checks run, but on no trial.
+UNPROBED = {"one_fair_row", "det_homomorphism"}
+
+
+def test_readme_grades_every_property():
+    grades = readme_grades()
+    assert set(grades) == set(PROPERTIES)
+    assert set(grades.values()) == {"theorem", "conjecture", "monitor"}
+    assert len(THEOREMS) == 14
+
+
+@pytest.mark.parametrize("name", THEOREMS)
+def test_theorem_holds_on_the_audit_grid(name):
+    applicable = violations = 0
+    for spec, trials in AUDIT_GRID:
+        report = fuzz_campaign(name, spec, trials)
+        applicable += report.trials - report.not_applicable
+        violations += report.violations
+    assert violations == 0
+    assert (applicable == 0) == (name in UNPROBED)
+
+
+#: A real 2x2 [[a, b], [c, d]] is balanced iff |a| = |d| and |b| = |c|: the
+#: four sign classes [[a, b], [+-b, +-a]], of which the generators build
+#: only some.
+SIGN_CLASSES = [(sb, sa) for sb in (1.0, -1.0) for sa in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("name", ["closure_inverse", "closure_transpose", "closure_scale", "det_nonzero"])
+@pytest.mark.parametrize("sb, sa", SIGN_CLASSES)
+def test_sign_agnostic_theorems_hold_on_every_sign_class(name, sb, sa):
+    rng = random.Random(f"{name} {sb} {sa}")
+    applicable = 0
+    for _ in range(200):
+        a, b = (rng.choice((1.0, -1.0)) * rng.uniform(1.0, 100.0) for _ in range(2))
+        m = Matrix(2, 2, (a, b, sb * b, sa * a))
+        lam = Matrix(1, 1, (rng.choice((1.0, -1.0)) * rng.uniform(1.0, 3.0),))
+        inputs = (m, lam) if name == "closure_scale" else (m,)
+        record = replay_counterexample(name, inputs)
+        if record is not None:
+            applicable += 1
+            assert record.holds, (m, record)
+    assert applicable > 0

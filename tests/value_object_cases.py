@@ -6,10 +6,10 @@ and `DiscrepancyReport` store their fields by assigning the instance
 assignment and deletion raise FrozenInstanceError; equality, hashing,
 `repr`, `fields`, `replace` and pickling are the dataclass's; `Matrix` and
 `CheckRecord` still validate; and an instrument that rebinds
-`Matrix.__post_init__` sees every construction from outside data (a
-generator's output takes `core._generated_matrix`, which checks it once
-itself). The one write rests on CPython's handling of `__dict__`, so each
-interpreter checks it.
+`Matrix.__post_init__` sees every construction from outside data, and no
+other: entries the program computed take `core._generated_matrix`, which
+checks them once itself. The one write rests on CPython's handling of
+`__dict__`, so each interpreter checks it.
 
 This module needs no pytest:
 
@@ -127,6 +127,7 @@ def check_record_validates():
 
 
 def check_rebound_post_init_sees_every_matrix():
+    # Outside data only: the sum, the transpose and the interior are computed.
     seen = []
     original = Matrix.__post_init__
 
@@ -145,7 +146,7 @@ def check_rebound_post_init_sees_every_matrix():
         pickle.loads(pickle.dumps(a))  # unpickling stores the state and calls no __init__
     finally:
         Matrix.__post_init__ = original
-    assert seen == [(2, 2), (3, 3), (2, 2), (3, 3), (2, 2), (1, 4)], seen
+    assert seen == [(2, 2), (3, 3), (1, 4)], seen
 
 
 def check_producers_build_equal_records():
