@@ -29,7 +29,7 @@ _EXPORTS = {
          "SingularMatrixError SymmetryError UnsupportedDimensionError"),
         ("genfuzz", "PROPERTIES Counterexample FuzzContext FuzzReport GenSpec fuzz_campaign generate replay_counterexample"),
         ("spectral2", "Spectrum2 SpectrumEstimate det_homomorphism_check emax_additivity_check estimate_spectrum2 "
-         "exact_spectrum2 quadform_branch_select quadform_eval quadform_predict trace_entry_check"),
+         "exact_spectrum2 quadform_branch_select quadform_coefficients quadform_eval quadform_predict trace_entry_check"),
     )
     for name in names.split()
 }  # fmt: skip

@@ -3,12 +3,13 @@
 Besides the basic arithmetic (transpose, scale, add, mul, closed-form 2x2
 inverse), this module reduces matrices to reduced row echelon form while
 recording every elementary row operation. The determinant then falls out of
-the trail: each recorded operation corresponds to an elementary matrix with
-known determinant, and the product of those determinants inverts to the
-determinant of the input. `det_via_trail` runs the forward part of that
-elimination alone, with no trail, as a straight-line function generated per
-n up to `_kernels._SHAPE_KERNEL_MAX_N`. Its generator sits here, next to its
-one caller, so that a command that never loads this module compiles none.
+the trail (`RrefResult.determinant`): each recorded operation corresponds to
+an elementary matrix with known determinant, and the product of those
+determinants inverts to the determinant of the input. `det_via_trail` runs
+the forward part of that elimination alone, with no trail, as a
+straight-line function generated per n up to `_kernels._SHAPE_KERNEL_MAX_N`.
+Its generator sits here, next to its one caller, so that a command that
+never loads this module compiles none.
 """
 
 from __future__ import annotations
@@ -51,6 +52,26 @@ class RrefResult:
     R: Matrix
     trail: tuple[ElementaryOp, ...]
     rank: int
+
+    @property
+    def determinant(self) -> float:
+        """Determinant of the reduced input, from the trail; DimensionError unless it is square.
+
+        A full-rank n x n matrix reduces to the identity through elementary
+        operations E_1..E_k, so its determinant is the reciprocal of the
+        product of their det factors, multiplied in trail order: the factor
+        of a scale step, -1.0 for a swap. An add-multiple step's factor is
+        exactly 1.0, so leaving it out changes no bits. Rank-deficient input
+        gives exactly 0.0, and a determinant that overflows gives +-inf.
+        """
+        _require_square(self.R)
+        prod = 1.0
+        for op in self.trail:
+            if op.kind == "scale_row":
+                prod *= op.factor
+            elif op.kind == "swap_rows":
+                prod *= -1.0
+        return _det_from(prod, self.rank, self.R.n_rows)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -110,21 +131,18 @@ def _require_pivot_tol(pivot_tol: float) -> None:
         raise InvalidInputError(f"pivot_tol must be positive, got {pivot_tol}")
 
 
-def _rref(a: Matrix, pivot_tol: float):
-    """The rref kernel on `a`: (reduced entries, raw trail, rank)."""
-    _require_pivot_tol(pivot_tol)
-    return _kernels.rref(a.entries, a.n_rows, a.n_cols, pivot_tol)
-
-
 def rref_with_trail(a: Matrix, pivot_tol: float = 1e-10) -> RrefResult:
     """Reduce `a` to reduced row echelon form, recording every operation.
 
     Uses partial pivoting (largest magnitude in the column); any candidate
     pivot with magnitude at or below `pivot_tol` is treated as zero, which
-    is what decides the numerical rank.
+    is what decides the numerical rank. Elimination that overflows raises
+    InvalidInputError: a zero scale factor, then a non-finite reduced entry.
     """
-    reduced, raw_trail, rank = _rref(a, pivot_tol)
+    _require_pivot_tol(pivot_tol)
+    reduced, raw_trail, rank = _kernels.rref(a.entries, a.n_rows, a.n_cols, pivot_tol)
     trail = tuple(ElementaryOp(*op) for op in raw_trail)
+    _require_finite(reduced)
     return RrefResult(R=_generated_matrix(a.n_rows, a.n_cols, tuple(reduced)), trail=trail, rank=rank)
 
 
@@ -144,34 +162,6 @@ def _det_from(prod: float, rank: int, n: int) -> float:
         return 0.0
     # A product that underflowed to +-0.0 is a determinant that overflows.
     return 1.0 / prod if prod else math.copysign(math.inf, prod)
-
-
-def _det_rank_steps(a: Matrix, pivot_tol: float) -> tuple[float, int, int]:
-    """Determinant, rank and trail length of square `a`, from one full reduction.
-
-    A full-rank n x n matrix reduces to the identity through elementary
-    operations E_1..E_k, so its determinant is the reciprocal of the product
-    of their det factors, multiplied in trail order: the factor of a scale
-    step, -1.0 for a swap. An add-multiple step's factor is exactly 1.0, so
-    leaving it out changes no bits. Rank-deficient input gives exactly 0.0,
-    and a determinant that overflows gives +-inf.
-
-    Elimination that overflows is rejected as `rref_with_trail` rejects it:
-    a zero scale factor or a non-finite reduced entry raises
-    InvalidInputError.
-    """
-    _require_square(a)
-    reduced, raw_trail, rank = _rref(a, pivot_tol)
-    prod = 1.0
-    for kind, _, _, factor in raw_trail:
-        if kind == "scale_row":
-            if factor == 0.0:
-                raise InvalidInputError("scale_row factor must be nonzero")
-            prod *= factor
-        elif kind == "swap_rows":
-            prod *= -1.0
-    _require_finite(reduced)
-    return _det_from(prod, rank, a.n_rows), rank, len(raw_trail)
 
 
 def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
@@ -206,7 +196,7 @@ def _det_loop(entries, n: int, pivot_tol: float) -> tuple[float, int]:
 
     `_kernels.rref`'s steps below each pivot on whole rows, with the det
     factors multiplied as they come instead of kept in a trail. Raises
-    InvalidInputError as `_det_rank_steps` does on the forward-reduced form.
+    InvalidInputError as `rref_with_trail` does, on the forward-reduced form.
     """
     r = list(entries)
     prod = 1.0

@@ -21,8 +21,9 @@ from math import isfinite
 from typing import TYPE_CHECKING
 
 # Only what every command needs loads here; each handler imports the module
-# it runs, so a file command never loads the fuzzing harness.
-from balmat import _kernels
+# it runs, so a file command never loads the fuzzing harness. Every name
+# comes from the public library.
+import balmat
 from balmat.balance import BalanceReport, classify_balance
 from balmat.core import GENERATOR_KINDS, CheckRecord, Matrix, TolerancePolicy, matrix_from_rows
 from balmat.errors import BalmatError, HypothesisError, ParseError
@@ -234,16 +235,16 @@ def _cmd_spectrum(ns: argparse.Namespace, a: Matrix) -> dict:
 def _cmd_quadform(ns: argparse.Namespace, a: Matrix) -> dict:
     from balmat.spectral2 import (
         QUADFORM_GRID,
-        _quadform_coeffs,
         exact_spectrum2,
         quadform_branch_select,
+        quadform_coefficients,
         quadform_eval,
         quadform_predict,
     )
 
     branch = quadform_branch_select(a)
     s = exact_spectrum2(a)
-    coeff_sum_sq, coeff_xy = _quadform_coeffs(s, branch)
+    coeff_sum_sq, coeff_xy = quadform_coefficients(s, branch)
     worst = 0.0
     for x, y in QUADFORM_GRID:
         err = abs(quadform_predict(s, branch, x, y) - quadform_eval(a, x, y))
@@ -285,10 +286,10 @@ def _cmd_discrepancy(ns: argparse.Namespace, a: Matrix) -> dict:
 
 
 def _cmd_det(ns: argparse.Namespace, a: Matrix) -> dict:
-    from balmat.algebra import _det_rank_steps
+    from balmat.algebra import rref_with_trail
 
-    value, rank, steps = _det_rank_steps(a, ns.pivot_tol)
-    return {"determinant": value, "rank": rank, "trail_length": steps}
+    res = rref_with_trail(a, ns.pivot_tol)
+    return {"determinant": res.determinant, "rank": res.rank, "trail_length": len(res.trail)}
 
 
 def _cmd_interior(ns: argparse.Namespace, a: Matrix) -> dict:
@@ -487,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.backend_info:
-        print(f"kernel backend: {_kernels.BACKEND}")
+        print(f"kernel backend: {balmat.kernel_backend}")
         return 0
     if ns.command is None:
         parser.print_help(sys.stderr)

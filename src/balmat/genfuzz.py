@@ -371,6 +371,14 @@ class FuzzContext:
     pivot_tol: float = 1e-10
     min_dim: int = 2
 
+    def __post_init__(self):
+        # pivot_tol and min_dim are checked where they are used, by the
+        # elimination and the interior search.
+        if not 0.0 < self.fair_eps < math.inf:
+            raise ConfigurationError(f"fair_eps must be finite and positive, got {self.fair_eps}")
+        if not -math.inf < self.unfair_theta < math.inf:
+            raise ConfigurationError(f"unfair_theta must be finite, got {self.unfair_theta}")
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -398,7 +406,9 @@ class FuzzReport:
 @dataclass(frozen=True)
 class PropertyDef:
     name: str
-    description: str
+    #: "theorem", "conjecture" or "monitor": README's property table grades
+    #: each property the same way.
+    grade: str
     make_inputs: Callable[[random.Random, GenSpec, FuzzContext], tuple[Matrix, ...]]
     # Raises HypothesisError, whose `.hypothesis` names the reason, exactly
     # when the trial is not applicable; the estimator checks pair the record
@@ -701,114 +711,24 @@ def _check_det_homomorphism_n(ms, ctx):
 PROPERTIES: dict[str, PropertyDef] = {
     p.name: p
     for p in (
-        PropertyDef(
-            "closure_add",
-            "sum of positive balanced 2x2 matrices stays balanced",
-            _gen_pair,
-            functools.partial(_check_closure, "add", 2.0),
-        ),
-        PropertyDef(
-            "closure_mul",
-            "product of positive balanced 2x2 matrices stays balanced",
-            _gen_pair,
-            functools.partial(_check_closure, "mul", 8.0),
-        ),
-        PropertyDef(
-            "closure_inverse",
-            "inverse of a nonsingular exactly balanced 2x2 stays balanced",
-            _gen_one,
-            _check_closure_inverse,
-        ),
-        PropertyDef(
-            "closure_transpose",
-            "transpose swaps the horizontal/vertical defects exactly",
-            _gen_one,
-            _check_closure_transpose,
-        ),
-        PropertyDef(
-            "closure_scale",
-            "nonzero scaling leaves the normalized defect unchanged",
-            _make_scale_inputs,
-            _check_closure_scale,
-        ),
-        PropertyDef(
-            "det_nonzero",
-            "balanced matrices with non-constant entry magnitudes are nonsingular",
-            _gen_one,
-            _check_det_nonzero,
-        ),
-        PropertyDef(
-            "estimator_exact",
-            "entry-sum estimates match the eigenvalue magnitudes",
-            _gen_one,
-            _check_estimator_exact,
-        ),
-        PropertyDef(
-            "estimator_scaling",
-            "record estimator error against balance defect (monitoring only)",
-            _gen_one,
-            _check_estimator_scaling,
-        ),
-        PropertyDef(
-            "emax_additivity",
-            "dominant eigenvalue magnitude is additive for balanced 2x2 sums",
-            _gen_pair,
-            _check_emax_additivity,
-        ),
-        PropertyDef(
-            "trace_entry",
-            "leading entry pins down the trace of a balanced positive 2x2",
-            _gen_abs_one,
-            _check_trace_entry,
-        ),
-        PropertyDef(
-            "quadform_predict",
-            "spectrum-only quadratic form prediction matches direct evaluation",
-            _make_symmetric2_inputs,
-            _check_quadform_predict,
-        ),
-        PropertyDef(
-            "fairness_transfer",
-            "row fairness and column fairness coincide for balanced matrices",
-            _gen_abs_one,
-            _check_fairness_transfer,
-        ),
-        PropertyDef(
-            "one_fair_row",
-            "exactly one fair row forces a large column deviation",
-            _make_one_fair_row_inputs,
-            _check_one_fair_row,
-        ),
-        PropertyDef(
-            "edos",
-            "one fair row propagates fairness to all rows (conjecture)",
-            _gen_one,
-            _check_fairness_propagation,
-        ),
-        PropertyDef(
-            "interior_conjecture",
-            "every balanced matrix contains a balanced interior (conjecture)",
-            _gen_one,
-            _check_interior_conjecture,
-        ),
-        PropertyDef(
-            "interior_fair_corollary",
-            "interiors of fair balanced matrices stay balanced at widened tolerance",
-            _gen_one,
-            _check_interior_fair_corollary,
-        ),
-        PropertyDef(
-            "det_homomorphism",
-            "det(A+B) ~ det(A)+det(B) for vanishing min eigenvalue and fair B",
-            _make_homomorphism_inputs,
-            _check_det_homomorphism,
-        ),
-        PropertyDef(
-            "det_homomorphism_n",
-            "n x n determinant homomorphism (conjecture)",
-            _make_homomorphism_n_inputs,
-            _check_det_homomorphism_n,
-        ),
+        PropertyDef("closure_add", "theorem", _gen_pair, functools.partial(_check_closure, "add", 2.0)),
+        PropertyDef("closure_mul", "theorem", _gen_pair, functools.partial(_check_closure, "mul", 8.0)),
+        PropertyDef("closure_inverse", "theorem", _gen_one, _check_closure_inverse),
+        PropertyDef("closure_transpose", "theorem", _gen_one, _check_closure_transpose),
+        PropertyDef("closure_scale", "theorem", _make_scale_inputs, _check_closure_scale),
+        PropertyDef("det_nonzero", "theorem", _gen_one, _check_det_nonzero),
+        PropertyDef("estimator_exact", "theorem", _gen_one, _check_estimator_exact),
+        PropertyDef("estimator_scaling", "monitor", _gen_one, _check_estimator_scaling),
+        PropertyDef("emax_additivity", "theorem", _gen_pair, _check_emax_additivity),
+        PropertyDef("trace_entry", "theorem", _gen_abs_one, _check_trace_entry),
+        PropertyDef("quadform_predict", "theorem", _make_symmetric2_inputs, _check_quadform_predict),
+        PropertyDef("fairness_transfer", "theorem", _gen_abs_one, _check_fairness_transfer),
+        PropertyDef("one_fair_row", "theorem", _make_one_fair_row_inputs, _check_one_fair_row),
+        PropertyDef("edos", "conjecture", _gen_one, _check_fairness_propagation),
+        PropertyDef("interior_conjecture", "conjecture", _gen_one, _check_interior_conjecture),
+        PropertyDef("interior_fair_corollary", "theorem", _gen_one, _check_interior_fair_corollary),
+        PropertyDef("det_homomorphism", "theorem", _make_homomorphism_inputs, _check_det_homomorphism),
+        PropertyDef("det_homomorphism_n", "conjecture", _make_homomorphism_n_inputs, _check_det_homomorphism_n),
     )
 }
 

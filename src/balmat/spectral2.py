@@ -182,8 +182,12 @@ def quadform_branch_select(a: Matrix) -> Branch:
 QUADFORM_GRID = tuple((float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3))
 
 
-def _quadform_coeffs(s: Spectrum2, branch: Branch) -> tuple[float, float]:
-    """The branch's coefficients of (x+y)^2 and of x*y, from the spectrum alone."""
+def quadform_coefficients(s: Spectrum2, branch: Branch) -> tuple[float, float]:
+    """The branch's coefficients of (x+y)^2 and of x*y, from the spectrum alone.
+
+    `quadform_predict` evaluates the form they give; an unknown branch
+    raises InvalidInputError.
+    """
     lam_min = s.min_abs
     lam_max = s.max_abs
     if branch == "b_gt_a":
@@ -201,7 +205,7 @@ def quadform_predict(s: Spectrum2, branch: Branch, x: float, y: float) -> float:
     branch "b_gt_a" gives ((M - m)/2)(x+y)^2 + 2m*x*y and branch "b_lt_a"
     gives ((M + m)/2)(x+y)^2 - 2m*x*y.
     """
-    coeff_sum_sq, coeff_xy = _quadform_coeffs(s, branch)
+    coeff_sum_sq, coeff_xy = quadform_coefficients(s, branch)
     return coeff_sum_sq * ((x + y) * (x + y)) + coeff_xy * x * y
 
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance here is pinned; none are calibrated at runtime.
 """
 
+import ast
 import os
 import random
 import re
@@ -325,6 +326,26 @@ def test_readme_examples_are_the_golden_files():
     examples = re.findall(r"^```json\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
     names = ("golden_check.json", "golden_spectrum.json", "golden_fuzz.json")
     assert examples == [(DATA_DIR / name).read_text(encoding="utf-8") for name in names]
+
+
+def test_readme_library_tour_runs():
+    # The tour runs line by line; a line whose comment is a Python literal
+    # shows the value of its expression, of the same type.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"^## Library quick tour\n\n```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    namespace: dict = {}
+    shown = []
+    for line in tour.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            want = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            exec(line, namespace)
+            continue
+        got = eval(code, namespace)
+        assert (type(got), got) == (type(want), want), line
+        shown.append(want)
+    assert shown == [True, 3.0, 3.0, 6.0, 0, True]
 
 
 def test_criterion_8_cli_contract(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from balmat import _kernels
 from balmat.algebra import (
     ElementaryOp,
-    _det_rank_steps,
     add,
     det2,
     det_via_trail,
@@ -173,6 +172,18 @@ class TestRref:
         res = rref_with_trail(matrix_from_rows([[1, 2, 3], [4, 5, 6]]), PIVOT_TOL)
         assert res.rank <= 2
 
+    def test_determinant_needs_a_square_matrix(self):
+        res = rref_with_trail(matrix_from_rows([[1, 2, 3], [4, 5, 6]]), PIVOT_TOL)
+        with pytest.raises(DimensionError, match="^determinant needs a square matrix, got 2x3$"):
+            res.determinant
+
+    @pytest.mark.parametrize("rows", [[[1e-5, 1e305], [0, 1]], [[1, 1e300, 0], [0, 1, 1e10], [0, 0, 1]]])
+    def test_overflow_is_reported_as_elimination_overflow(self, rows):
+        # The reduced form holds nan; it is reported before R is built, in
+        # the words `det_via_trail` uses.
+        with pytest.raises(InvalidInputError, match="^elimination overflowed: the reduced form has a non-finite entry$"):
+            rref_with_trail(matrix_from_rows(rows), PIVOT_TOL)
+
     @given(matrices())
     @example(Matrix(2, 3, (17.0, 0.0, 0.0, 59.75, 0.0, 0.0078125)))
     @example(Matrix(1, 2, (1e-12, 0.0078125)))
@@ -305,7 +316,8 @@ class TestDetViaTrail:
         # The scale factors' product underflows to +-0.0.
         m = matrix_from_rows([[sign * 1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]])
         assert det_via_trail(m) == sign * math.inf
-        assert _det_rank_steps(m, PIVOT_TOL) == (sign * math.inf, 3, 3)
+        res = rref_with_trail(m, PIVOT_TOL)
+        assert (res.determinant, res.rank, len(res.trail)) == (sign * math.inf, 3, 3)
 
     def test_overflow_above_the_pivots_only_is_not_seen(self):
         # Clearing column 1 above its pivot takes row 0 to -1e310 = -inf in
@@ -316,7 +328,7 @@ class TestDetViaTrail:
         with pytest.raises(InvalidInputError):
             rref_with_trail(m)
         with pytest.raises(InvalidInputError):
-            _det_rank_steps(m, PIVOT_TOL)  # balmat det, full reduction
+            rref_with_trail(m, PIVOT_TOL)  # balmat det, full reduction
         assert det_via_trail(m) == 1.0
 
     @given(square_matrices())
@@ -325,7 +337,7 @@ class TestDetViaTrail:
     def test_forward_only_matches_the_full_reduction(self, m):
         # The forward elimination's swaps and scale factors are the full
         # reduction's: a row is complete by the time it becomes the pivot row.
-        det = _det_rank_steps(m, PIVOT_TOL)[0]
+        det = rref_with_trail(m, PIVOT_TOL).determinant
         assert det_via_trail(m, PIVOT_TOL).hex() == det.hex()
 
     @pytest.mark.parametrize("pivot_tol", [1e-10, 1e-3, 1e-320])

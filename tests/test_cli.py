@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import balmat
+from balmat import cli
 from balmat.cli import (
     build_parser,
     main,
@@ -227,6 +229,21 @@ class TestCommands:
         assert out == ""
         assert "non-finite" in err
 
+    def test_det_overflow_above_the_pivots_exit_1(self, tmp_path):
+        # Only the back substitution overflows; the message is the library's.
+        p = tmp_path / "upper.csv"
+        p.write_text("1,1e300,0\n0,1,1e10\n0,0,1\n")
+        code, out, err = run_cli(["det", str(p)])
+        assert (code, out) == (1, "")
+        assert err == "balmat det: error: elimination overflowed: the reduced form has a non-finite entry\n"
+
+    def test_det_non_square_exit_1(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        p.write_text("1,2,3\n4,5,6\n")
+        code, out, err = run_cli(["det", str(p)])
+        assert (code, out) == (1, "")
+        assert err == "balmat det: error: determinant needs a square matrix, got 2x3\n"
+
     def test_det_overflowing_determinant(self, tmp_path):
         # The scale factors' product, 1e-600, underflows to 0.0.
         p = tmp_path / "big.csv"
@@ -286,6 +303,20 @@ class TestCommands:
         code, out, err = run_cli([*argv, "--fair-eps", eps])
         assert (code, out) == (1, "")
         assert err == f"balmat {command}: error: fair_eps must be finite and positive, got {float(eps)}\n"
+
+    def test_fair_eps_rejected_where_no_trial_reaches_it(self):
+        # Every perturbed input fails the balance gate before the fairness one.
+        argv = ["fuzz", "--property", "fairness_transfer", "--kind", "perturbed", "--noise", "0.5"]
+        code, out, err = run_cli([*argv, "--fair-eps", "inf", "--trials", "20"])
+        assert (code, out) == (1, "")
+        assert err == "balmat fuzz: error: fair_eps must be finite and positive, got inf\n"
+
+    @pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+    def test_theta_not_finite_exit_1(self, theta):
+        argv = ["fuzz", "--property", "one_fair_row", "--kind", "constant", "--n", "3", "--trials", "3"]
+        code, out, err = run_cli([*argv, f"--theta={theta}"])
+        assert (code, out) == (1, "")
+        assert err == f"balmat fuzz: error: unfair_theta must be finite, got {float(theta)}\n"
 
     def test_missing_file_exit_1(self):
         code, _, err = run_cli(["check", "/nonexistent/path.csv"])
@@ -551,3 +582,18 @@ class TestParams:
         assert code == 1
         assert out == ""
         assert "rtol must be finite and non-negative" in err
+
+
+def test_cli_imports_only_public_balmat_names():
+    # The CLI is a client of the library: no module it imports from balmat,
+    # and no name it takes from one, starts with an underscore.
+    paths = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            paths += [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("balmat." * (node.level > 0) + (node.module or "")).strip(".").split(".")
+            paths += [[*module, alias.name] for alias in node.names]
+    paths = [path for path in paths if path[0] == "balmat"]
+    assert ["balmat", "algebra", "rref_with_trail"] in paths
+    assert [path for path in paths if any(part.startswith("_") for part in path)] == []

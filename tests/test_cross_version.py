@@ -6,9 +6,10 @@ interpreter must give the same bits. For each CPython minor version from
 runs `tests/fingerprint_cases.py`, `tests/value_object_cases.py` (the value
 objects store their fields through CPython's `__dict__` handling) and the
 golden CLI invocations of `test_acceptance.py`, and prints the versions it
-ran, or that it found none. The running interpreter's version is left out:
-`test_fingerprints.py`, `test_value_objects.py` and `test_acceptance.py`
-check it already.
+ran, or that it found none. Each interpreter runs under its own fixed
+`PYTHONHASHSEED`, so the lock also holds across string-hash seeds. The
+running interpreter's version is left out: `test_fingerprints.py`,
+`test_value_objects.py` and `test_acceptance.py` check it already.
 """
 
 from __future__ import annotations
@@ -86,10 +87,16 @@ def test_lock_holds_on_every_installed_python(tmp_path, capsys):
     root = str(Path(balmat.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     found = _interpreters()
-    failures = {version: _mismatches(exe, tmp_path, env) for version, exe in found.items()}
+    # A distinct string-hash seed for each interpreter, in version order.
+    seeds = dict(zip(found, ("0", "1", "12345", "999")))
+    failures = {
+        version: _mismatches(exe, tmp_path, {**env, "PYTHONHASHSEED": seeds[version]})
+        for version, exe in found.items()
+    }
     with capsys.disabled():
         if found:
-            print(f"\ncross-version lock ran on CPython {', '.join(found)} (and {sys.version.split()[0]} in process)")
+            ran = ", ".join(f"{version} (PYTHONHASHSEED={seed})" for version, seed in seeds.items())
+            print(f"\ncross-version lock ran on CPython {ran} (and {sys.version.split()[0]} in process)")
         else:
             print("\ncross-version lock: no CPython 3.10-3.13 found, nothing compared")
     assert {version: bad for version, bad in failures.items() if bad} == {}

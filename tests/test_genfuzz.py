@@ -577,6 +577,16 @@ class TestCampaigns:
 
 
 class TestOneConfiguration:
+    @pytest.mark.parametrize("fair_eps", [math.inf, math.nan, 0.0, -1.0])
+    def test_fair_eps_must_be_finite_and_positive(self, fair_eps):
+        with pytest.raises(ConfigurationError, match=f"^fair_eps must be finite and positive, got {fair_eps}$"):
+            FuzzContext(fair_eps=fair_eps)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_unfair_theta_must_be_finite(self, theta):
+        with pytest.raises(ConfigurationError, match=f"^unfair_theta must be finite, got {theta}$"):
+            FuzzContext(unfair_theta=theta)
+
     def test_one_default_per_parameter_and_the_benchmark_calls(self):
         ctx = FuzzContext()
         assert ctx.tol == DEFAULT_TOL
@@ -910,7 +920,7 @@ def readme_grades():
     return dict(re.findall(r"^\| `(\w+)` \| (\w+) \|", readme, re.MULTILINE))
 
 
-THEOREMS = sorted(name for name, grade in readme_grades().items() if grade == "theorem")
+THEOREMS = sorted(name for name, prop in PROPERTIES.items() if prop.grade == "theorem")
 
 #: (spec, trials): every generator kind at n=2, and the kinds that build n=4.
 AUDIT_GRID = [
@@ -934,9 +944,8 @@ UNPROBED = {"one_fair_row", "det_homomorphism"}
 
 
 def test_readme_grades_every_property():
-    grades = readme_grades()
-    assert set(grades) == set(PROPERTIES)
-    assert set(grades.values()) == {"theorem", "conjecture", "monitor"}
+    assert readme_grades() == {name: prop.grade for name, prop in PROPERTIES.items()}
+    assert {prop.grade for prop in PROPERTIES.values()} == {"theorem", "conjecture", "monitor"}
     assert len(THEOREMS) == 14
 
 
