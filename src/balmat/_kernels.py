@@ -6,11 +6,11 @@ their (n, m) shape: the entries are unpacked into locals and every loop is
 written out, so no slicing, `for` iteration or `append` is left around the
 arithmetic. Each performs the loop's float operations on the same operands
 in the same order, so the results are the loop's bit for bit. The
-generated code calls no function, but for the rare pairwise comparison
-behind a balance verdict: on CPython 3.11 a builtin `min()` or `max()`
-call costs more than the comparisons it would replace. A kernel is
-compiled on first use of its shape, never at import, and cached; larger
-shapes run the loops.
+generated code calls no function but `sums_all_close`, for the rare
+balance verdict that the screen of `axis_balance` leaves open: on CPython
+3.11 a builtin `min()` or `max()` call costs more than the comparisons it
+would replace. A kernel is compiled on first use of its shape, never at
+import, and cached; larger shapes run the loops.
 
 `rref` is the full reduction with its trail, in one mode. The determinant's
 forward elimination has a generated kernel of its own, under the same size
@@ -45,30 +45,7 @@ def col_square_sums(entries, n, m):
 
 
 def sums_all_close(sums, rtol, atol):
-    """Whether every pair of values agrees within atol + rtol*max(|x|,|y|)."""
-    if len(sums) < 2:
-        return True
-    # Screen for non-negative sums and tolerances (NaN never compares, so
-    # it is skipped): no pair is further apart than max - min, and every
-    # pair's allowance lies between those at min and at max. Rounding is
-    # monotone, so both answers below agree with the pairwise loop.
-    lo = hi = sums[0]
-    for v in sums:
-        if v < lo:
-            lo = v
-        elif v > hi:
-            hi = v
-    if lo >= 0.0 and rtol >= 0.0 and atol >= 0.0:
-        span = hi - lo
-        if span <= atol + rtol * lo:
-            return True
-        if span > atol + rtol * hi:
-            return False
-    return _pairs_close(sums, rtol, atol)
-
-
-def _pairs_close(sums, rtol, atol):
-    """`sums_all_close` pair by pair, with no screen."""
+    """Whether every pair of values agrees within atol + rtol*max(|x|,|y|): `axis_balance`'s fallback."""
     k = len(sums)
     for r in range(k):
         sr = sums[r]
@@ -86,26 +63,19 @@ def _pairs_close(sums, rtol, atol):
 
 
 def spread_defect(sums):
-    """Normalized spread (max-min)/max(1, max) of a list of non-negative sums."""
-    lo = sums[0]
-    hi = sums[0]
-    for v in sums:
-        if v < lo:
-            lo = v
-        if v > hi:
-            hi = v
-    denom = hi if hi > 1.0 else 1.0
-    return (hi - lo) / denom
+    """`axis_balance`'s defect; at zero tolerances its verdict never needs the pairwise loop."""
+    return axis_balance(sums, 0.0, 0.0)[0]
 
 
 def axis_balance(sums, rtol, atol):
     """(defect, verdict) of one axis's square sums, from one scan.
 
-    The defect is `spread_defect(sums)`. The verdict is False when the
-    defect is not finite (a sum overflowed, and `sums_all_close` would call
-    the infinite sums close), else `sums_all_close(sums, rtol, atol)`. The
-    sums are non-negative, as square sums are, and so are rtol and atol, as
-    `TolerancePolicy` makes them: the screen of `sums_all_close` applies.
+    The defect is (hi - lo) / max(1, hi) of the highest and lowest sum. The
+    verdict is False when it is not finite (a sum overflowed, and the loop
+    would call infinite sums close), else `sums_all_close(sums, rtol, atol)`.
+    With sums and tolerances non-negative (`TolerancePolicy`), every pair's
+    difference is at most hi - lo and its allowance lies between those at lo
+    and at hi; rounding is monotone, so only a span between them needs the loop.
     """
     lo = hi = sums[0]
     for v in sums:
@@ -121,7 +91,7 @@ def axis_balance(sums, rtol, atol):
         return defect, True
     if span > atol + rtol * hi:
         return defect, False
-    return defect, _pairs_close(sums, rtol, atol)
+    return defect, sums_all_close(sums, rtol, atol)
 
 
 def balance(entries, n, m, rtol, atol):
@@ -293,7 +263,7 @@ def _compile(source, name, namespace=None):
 @functools.lru_cache(maxsize=None)
 def _kernel(kind, n, m):
     """The straight-line `kind` kernel for n x m entries, compiled once per shape."""
-    return _compile(_kernel_source(kind, n, m), f"{kind}_{n}x{m}", {"pairs_close": _pairs_close})
+    return _compile(_kernel_source(kind, n, m), f"{kind}_{n}x{m}", {"pairs_close": sums_all_close})
 
 
 def _kernel_source(kind, n, m):

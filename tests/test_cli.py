@@ -311,6 +311,19 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == "balmat fuzz: error: fair_eps must be finite and positive, got inf\n"
 
+    def test_absurd_dimension_exit_1(self):
+        argv = ["fuzz", "--property", "det_nonzero", "--kind", "constant", "--n", "10000000000", "--trials", "1"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == "balmat fuzz: error: dimension must be between 1 and 256, got 10000000000\n"
+
+    @pytest.mark.parametrize("prop, kind", [("closure_add", "constant"), ("quadform_predict", "symmetric2")])
+    def test_overflowing_entry_range_exit_1(self, prop, kind):
+        argv = ["fuzz", "--property", prop, "--kind", kind, "--entry-high", "1.7e308", "--noise", "1.7e308"]
+        code, out, err = run_cli([*argv, "--trials", "5"])
+        assert (code, out) == (1, "")
+        assert err == "balmat fuzz: error: entry_high + noise must be finite, got 1.7e+308 + 1.7e+308\n"
+
     @pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
     def test_theta_not_finite_exit_1(self, theta):
         argv = ["fuzz", "--property", "one_fair_row", "--kind", "constant", "--n", "3", "--trials", "3"]

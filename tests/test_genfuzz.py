@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,10 +30,11 @@ from balmat.discrepancy import (
     find_balanced_interior,
     one_fair_row_check,
 )
-from balmat.errors import ConfigurationError, HypothesisError, InvalidInputError, UnsupportedDimensionError
+from balmat.errors import ConfigurationError, HypothesisError, UnsupportedDimensionError
 from balmat.genfuzz import (
     DEFECT_FLOOR,
     MAX_COUNTEREXAMPLES,
+    MAX_DIMENSION,
     PROPERTIES,
     _KERNEL_MAX_N,
     FuzzContext,
@@ -98,6 +100,27 @@ class TestGenSpec:
     def test_float_fields_must_be_finite(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             GenSpec(kind="constant", **{name: value})
+
+    @pytest.mark.parametrize("n", [0, -1, MAX_DIMENSION + 1, 100_000, 10**10])
+    def test_dimension_bound(self, n):
+        with pytest.raises(ConfigurationError, match=f"dimension must be between 1 and {MAX_DIMENSION}, got {n}$"):
+            GenSpec(kind="scaled_orthogonal", n=n)
+
+    def test_bounds_are_inclusive(self):
+        # Only built: a scaled_orthogonal draw at this n takes about a second.
+        assert GenSpec(kind="scaled_orthogonal", n=MAX_DIMENSION).n == MAX_DIMENSION
+        assert GenSpec(kind="constant", noise=sys.float_info.max / 2).noise == sys.float_info.max / 2
+
+    @pytest.mark.parametrize("noise", [1e308, sys.float_info.max, 10**308])
+    def test_noise_width_must_be_finite(self, noise):
+        # rng.uniform(-noise, noise) overflows with 2*noise.
+        with pytest.raises(ConfigurationError, match="noise must be at most 8.988465674311579e\\+307"):
+            GenSpec(kind="constant", noise=noise)
+
+    @pytest.mark.parametrize("high, noise", [(sys.float_info.max, 1e300), (10**308, 10**308)])
+    def test_entry_high_plus_noise_must_be_finite(self, high, noise):
+        with pytest.raises(ConfigurationError, match=r"entry_high \+ noise must be finite"):
+            GenSpec(kind="constant", entry_high=high, noise=noise)
 
     def test_float_fields_take_ints(self):
         as_ints = GenSpec(kind="constant", n=3, entry_low=2, entry_high=5, noise=1, seed=4)
@@ -183,11 +206,15 @@ class TestGenerate:
                 assert mirrored == Matrix(n, n, tuple(abs(v) for v in entries))
 
     def test_overflowing_generator_output_raises(self):
-        # Noise of radius 1e308 around 1.7e308 takes some entries past the
-        # float maximum, to inf.
-        spec = GenSpec(kind="constant", n=3, entry_low=1.7e308, entry_high=1.7e308, noise=1e308, seed=0)
-        with pytest.raises(InvalidInputError, match="matrix entries must be finite, got inf"):
-            generate(spec)
+        # Noise of radius 1e308 around 1.7e308 would take some entries past
+        # the float maximum, to inf: the spec names both settings.
+        with pytest.raises(ConfigurationError, match=r"entry_high \+ noise must be finite, got 1\.7e\+308 \+ 1e\+308"):
+            GenSpec(kind="constant", n=3, entry_low=1.7e308, entry_high=1.7e308, noise=1e308, seed=0)
+        # Noise below half an ulp of the float maximum rounds away.
+        top = sys.float_info.max
+        for seed in range(5):
+            m = generate(GenSpec(kind="constant", n=3, entry_low=top, entry_high=top, noise=1e291, seed=seed))
+            assert all(math.isfinite(v) for v in m.entries)
 
     def test_an_overflowing_product_of_finite_entries_still_builds(self):
         m = generate(GenSpec(kind="constant", n=2, entry_low=1e200, entry_high=1e200, seed=0))

@@ -1,6 +1,7 @@
 """What a cold start imports: `import balmat` is lazy (PEP 562), and a file
 command loads only the modules it runs."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import balmat
-from balmat import cli, genfuzz
+from balmat import _kernels, cli, genfuzz
 
 FILE_COMMANDS = ("check", "spectrum", "quadform", "discrepancy", "det", "interior")
 
@@ -101,3 +102,22 @@ def test_names_are_not_cached(monkeypatch):
     assert balmat.fuzz_campaign is f
     monkeypatch.undo()
     assert balmat.fuzz_campaign is genfuzz.fuzz_campaign
+
+
+def test_the_benchmark_tracer_names_exist():
+    # perfbench/tracer.py rebinds these functions by name. Its lists are
+    # read from the source, without importing the benchmark.
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    lists = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("KERNELS", "TRACED")
+    }
+    assert set(lists) == {"KERNELS", "TRACED"}
+    missing = [f"_kernels.{name}" for name in lists["KERNELS"] if not callable(getattr(_kernels, name, None))]
+    for layer, names in lists["TRACED"].items():
+        module = importlib.import_module(f"balmat.{layer}")
+        missing += [f"{layer}.{name}" for name in names if not callable(getattr(module, name, None))]
+    assert missing == []

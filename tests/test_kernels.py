@@ -252,8 +252,13 @@ def test_sums_all_close_matches_pairwise_on_square_sums(case, rtol, atol):
 
 
 def _agree(sums, rtol, atol):
+    want = oracles.sums_all_close(sums, rtol, atol)
     got = _kernels.sums_all_close(sums, rtol, atol)
-    assert got is oracles.sums_all_close(sums, rtol, atol), (sums, rtol, atol)
+    assert got is want, (sums, rtol, atol)
+    # The screen lives in `axis_balance`, whose domain is finite,
+    # non-negative sums and tolerances.
+    if sums and all(0.0 <= v < math.inf for v in sums) and rtol >= 0.0 and atol >= 0.0:
+        assert _kernels.axis_balance(sums, rtol, atol)[1] is want, (sums, rtol, atol)
     return got
 
 
@@ -307,6 +312,10 @@ def test_sums_all_close_span_on_the_max_allowance(lo, rtol, atol):
         ([1.0, 3.0], 2.5, 0.0),
         ([0.0, 7.0], 1.0, 0.0),
         ([-0.0, 0.0, 5e-324], 0.0, 0.0),
+        # The lowest and highest sums are close, the lowest and the middle
+        # one are not: both differences round to the same float, and the
+        # middle one's allowance is one ulp lower.
+        ([7.2062137125937635, 28.824854850375065, 28.82485485037507], 0.75, 0.0),
     ],
 )
 def test_sums_all_close_edge_inputs(sums, rtol, atol):
@@ -409,7 +418,7 @@ def test_spectrum2_symmetric(a, b, gap, exponent):
 
 
 # ---------------------------------------------------------------------------
-# The fused balance kernel against the separate kernels
+# The fused balance kernel against the oracles
 # ---------------------------------------------------------------------------
 
 #: Every generated shape, then shapes that run the loops.
@@ -436,14 +445,22 @@ def _balance_entries(rng, style, count):
 BALANCE_STYLES = ("seeded", "ties", "tiny", "huge", "band")
 
 
+def _reference_axis(sums, rtol, atol):
+    """`_kernels.axis_balance` from builtin max and min and the oracle's pairwise loop.
+
+    max and min keep the first of tied values and skip a NaN after the
+    first value, as the kernels' scan does.
+    """
+    defect = (max(sums) - min(sums)) / max(1.0, max(sums))
+    return defect, math.isfinite(defect) and oracles.sums_all_close(sums, rtol, atol)
+
+
 def _balance_reference(entries, n, m, rtol, atol):
-    """`_kernels.balance` as `classify_balance` computed it from the separate kernels."""
-    rs = _kernels.row_square_sums(entries, n, m)
-    cs = _kernels.col_square_sums(entries, n, m)
-    h_defect = _kernels.spread_defect(rs)
-    v_defect = _kernels.spread_defect(cs)
-    h_bal = math.isfinite(h_defect) and _kernels.sums_all_close(rs, rtol, atol)
-    v_bal = math.isfinite(v_defect) and _kernels.sums_all_close(cs, rtol, atol)
+    """`_kernels.balance` from the index-arithmetic oracles in `tests/oracles.py`."""
+    rs = oracles.row_square_sums(entries, n, m)
+    cs = oracles.col_square_sums(entries, n, m)
+    h_defect, h_bal = _reference_axis(rs, rtol, atol)
+    v_defect, v_bal = _reference_axis(cs, rtol, atol)
     return tuple(rs), tuple(cs), h_defect, v_defect, h_bal, v_bal
 
 
@@ -475,6 +492,17 @@ def test_balance_bit_for_bit(n, m):
     assert band > 0 or n * m == 1
 
 
+@pytest.mark.parametrize("n, m", [(3, 1), (1, 3), (K + 1, 1), (1, K + 1)], ids=lambda v: str(v))
+def test_balance_leaves_the_band_to_the_pairwise_loop(n, m):
+    # At rtol 0.75 the lowest and highest squares are close, but after
+    # rounding the lowest and the middle one are not: the screen, unrolled
+    # or not, must leave this verdict to the pairwise loop.
+    entries = [1.7532870469502235, 3.5065740939004475] + [3.506574093900448] * (n * m - 2)
+    got = _kernels.balance(entries, n, m, 0.75, 0.0)
+    want = _balance_reference(entries, n, m, 0.75, 0.0)
+    assert got[4:] == want[4:] == (m != 1, n != 1)
+
+
 @pytest.mark.parametrize(
     "sums, rtol, atol",
     [
@@ -492,8 +520,7 @@ def test_balance_bit_for_bit(n, m):
     ],
 )
 def test_axis_balance_matches_the_separate_kernels(sums, rtol, atol):
-    defect = _kernels.spread_defect(sums)
-    verdict = math.isfinite(defect) and _kernels.sums_all_close(sums, rtol, atol)
+    defect, verdict = _reference_axis(sums, rtol, atol)
     got = _kernels.axis_balance(sums, rtol, atol)
     assert (got[0].hex(), got[1]) == (defect.hex(), verdict)
 
