@@ -9,12 +9,13 @@ in the same order, so the results are the loop's bit for bit. The
 generated code calls no function but `sums_all_close`, for the rare
 balance verdict that the screen of `axis_balance` leaves open: on CPython
 3.11 a builtin `min()` or `max()` call costs more than the comparisons it
-would replace. A kernel is compiled on first use of its shape, never at
-import, and cached; larger shapes run the loops.
+would replace. Larger shapes run the loops.
 
-`rref` is the full reduction with its trail, in one mode. The determinant's
-forward elimination has a generated kernel of its own, under the same size
-bound, in `algebra` beside `det_via_trail`, its one caller.
+`_kernel` compiles every generated kernel, these and those of `algebra`
+(the determinant) and `genfuzz` (the Householder draw), on first use of
+its builder and shape, never at import, and caches it. Each builder sits
+beside its one caller, so a command that never loads a module compiles
+none of its kernels. `rref` is the full reduction with its trail.
 
 Every kernel takes n, m >= 1, which `Matrix` guarantees.
 """
@@ -103,7 +104,7 @@ def balance(entries, n, m, rtol, atol):
     `Matrix` makes them, and rtol, atol non-negative.
     """
     if n <= _SHAPE_KERNEL_MAX_N and m <= _SHAPE_KERNEL_MAX_N:
-        return _kernel("balance", n, m)(entries, rtol, atol)
+        return _kernel(_balance_source, n, m)(entries, rtol, atol)
     rs = tuple(row_square_sums(entries, n, m))
     cs = tuple(col_square_sums(entries, n, m))
     h_defect, h_bal = axis_balance(rs, rtol, atol)
@@ -203,7 +204,7 @@ def line_stats(entries, n, m):
     where row_devs[i] = max_j |row_means[i] - a_ij| and col_devs likewise.
     """
     if n <= _SHAPE_KERNEL_MAX_N and m <= _SHAPE_KERNEL_MAX_N:
-        return _kernel("line_stats", n, m)(entries)
+        return _kernel(_line_stats_source, n, m)(entries)
     row_sums, row_means, row_devs = _line_stats([entries[b : b + m] for b in range(0, n * m, m)])
     col_sums, col_means, col_devs = _line_stats([entries[j::m] for j in range(m)])
     return row_sums, col_sums, row_means, col_means, row_devs, col_devs
@@ -253,36 +254,33 @@ def _line_stats(lines):
 _SHAPE_KERNEL_MAX_N = 8
 
 
-def _compile(source, name, namespace=None):
-    """The function `name` that the generated `source` defines."""
-    namespace = {} if namespace is None else namespace
+@functools.lru_cache(maxsize=None)
+def _kernel(build, *shape):
+    """The function that the source `build(*shape)` defines, compiled once per builder and shape.
+
+    A source opens with `def <name>(`; it compiles as the file "<name>",
+    beside the two names generated code calls, `pairs_close` and `sqrt`.
+    """
+    source = build(*shape)
+    name = source[len("def ") : source.index("(")]
+    namespace = {"pairs_close": sums_all_close, "sqrt": math.sqrt}
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel(kind, n, m):
-    """The straight-line `kind` kernel for n x m entries, compiled once per shape."""
-    return _compile(_kernel_source(kind, n, m), f"{kind}_{n}x{m}", {"pairs_close": sums_all_close})
-
-
-def _kernel_source(kind, n, m):
-    """Source of `_kernel(kind, n, m)`, built from the kind and the shape alone.
-
-    Entry k of the row-major input is the local e<k>. A kind other than
-    "balance" and "line_stats" raises KeyError.
-    """
-    source = {"balance": _balance_source, "line_stats": _line_stats_source}[kind]
+def _lines(n, m):
+    """The locals of n x m entries by row and by column: entry k of the row-major input is e<k>."""
     e = [f"e{k}" for k in range(n * m)]
-    return source(n, m, [e[b : b + m] for b in range(0, n * m, m)], [e[j::m] for j in range(m)])
+    return [e[b : b + m] for b in range(0, n * m, m)], [e[j::m] for j in range(m)]
 
 
-def _line_stats_source(n, m, rows, cols):
-    """Source of the n x m `line_stats` kernel; `rows` and `cols` name its entries.
+def _line_stats_source(n, m):
+    """Source of the n x m `line_stats` kernel, built from the shape alone.
 
     Row i's sum, mean and deviation are the locals rs<i>, rm<i>, rd<i>, and
     column j's cs<j>, cm<j>, cd<j>.
     """
+    rows, cols = _lines(n, m)
     out = [f"def line_stats_{n}x{m}(entries):", f"    [{', '.join(v for row in rows for v in row)}] = entries"]
     for axis, lines in (("r", rows), ("c", cols)):
         for i, line in enumerate(lines):
@@ -305,8 +303,8 @@ def _line_stats_source(n, m, rows, cols):
     return "\n".join([*out, f"    return {', '.join(stats)}", ""])
 
 
-def _balance_source(n, m, rows, cols):
-    """Source of the n x m `balance` kernel; `rows` and `cols` name its entries.
+def _balance_source(n, m):
+    """Source of the n x m `balance` kernel, built from the shape alone.
 
     The square of entry e<k> is the local q<k>, shared by its row's sum r<i>
     and its column's sum c<j>. A line of one entry has its square as its
@@ -316,6 +314,7 @@ def _balance_source(n, m, rows, cols):
     when the span falls between the allowances at the lowest and the
     highest sum.
     """
+    rows, cols = _lines(n, m)
     q = {v: f"q{v[1:]}" for line in rows for v in line}
     out = [f"def balance_{n}x{m}(entries, rtol, atol):", f"    [{', '.join(q)}] = entries"]
     out += [f"    {sq} = {v}*{v}" for v, sq in q.items()]

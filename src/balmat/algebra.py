@@ -7,14 +7,14 @@ the trail (`RrefResult.determinant`): each recorded operation corresponds to
 an elementary matrix with known determinant, and the product of those
 determinants inverts to the determinant of the input. `det_via_trail` runs
 the forward part of that elimination alone, with no trail, as a
-straight-line function generated per n up to `_kernels._SHAPE_KERNEL_MAX_N`.
-Its generator sits here, next to its one caller, so that a command that
-never loads this module compiles none.
+straight-line function generated per n up to `_kernels._SHAPE_KERNEL_MAX_N`
+and compiled by `_kernels._kernel`. Its builder `_det_source` sits here,
+next to its one caller, so that a command that never loads this module
+compiles none.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -177,15 +177,15 @@ def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
     forward-reduced form, raises InvalidInputError.
 
     For n <= `_kernels._SHAPE_KERNEL_MAX_N` a function generated for n
-    (`_det_kernel`) runs the elimination; it declines every input outside
-    the full-rank, finite case, and those and larger n run `_det_loop`.
-    Both give the same bits.
+    (`_det_source`, compiled by `_kernels._kernel`) runs the elimination;
+    it declines every input outside the full-rank, finite case, and those
+    and larger n run `_det_loop`. Both give the same bits.
     """
     _require_square(a)
     _require_pivot_tol(pivot_tol)
     n = a.n_rows
     rank = n
-    prod = _det_kernel(n)(a.entries, pivot_tol) if n <= _kernels._SHAPE_KERNEL_MAX_N else None
+    prod = _kernels._kernel(_det_source, n)(a.entries, pivot_tol) if n <= _kernels._SHAPE_KERNEL_MAX_N else None
     if prod is None:
         prod, rank = _det_loop(a.entries, n, pivot_tol)
     return _det_from(prod, rank, n)
@@ -241,19 +241,8 @@ def _det_loop(entries, n: int, pivot_tol: float) -> tuple[float, int]:
     return prod, pivot_row
 
 
-@functools.lru_cache(maxsize=None)
-def _det_kernel(n: int):
-    """`_det_loop` on n x n entries for full-rank, finite input, as one compiled function.
-
-    It takes (entries, pivot_tol) and returns the product of the det
-    factors, or None for an input it declines. Compiled on first use, once
-    per n.
-    """
-    return _kernels._compile(_det_source(n), f"det_{n}")
-
-
 def _det_source(n: int) -> str:
-    """Source of `_det_kernel(n)`, built from the integer n alone.
+    """Source of det_<n>(entries, tol): `_det_loop`'s product of det factors, for n x n entries.
 
     The row at position i holds the locals a<i>_<j>; a swap exchanges two
     positions' locals. Column k updates only the columns right of k:

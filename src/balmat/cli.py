@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from math import isfinite
 from typing import TYPE_CHECKING
@@ -457,8 +458,21 @@ def run(ns: argparse.Namespace, out=None, err=None) -> int:
     return 0
 
 
+#: A float literal that starts with "-": argparse's own pattern for telling
+#: a negative number from an option takes only the -1 and -.5 forms.
+_NEGATIVE_FLOAT = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors exit 1, like every other bad input."""
+    """An argparse parser whose usage errors exit 1, like every other bad input.
+
+    A negative float such as -1e-6 or -inf is read as a value, so that its
+    setting's own check reports it, not as an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -182,7 +182,7 @@ def _gaussians(rng: random.Random, count: int) -> list[float]:
     return out
 
 
-#: Largest n whose Householder QR runs as a compiled straight-line kernel.
+#: Largest n whose Householder QR runs as a straight-line kernel (`_householder_source`).
 #: The kernel runs about 2x faster than the loop at every n measured up to
 #: 64, so this is a memory and compile-time budget, not a speed crossover.
 #: Compiling every n up to 16 takes ~70 ms and leaves RSS ~1.2 MiB higher;
@@ -200,16 +200,19 @@ def _scaled_orthogonal(rng: random.Random, n: int, s: float) -> list[float]:
         return [s if rng.random() < 0.5 else -s]
     g = _gaussians(rng, n * n)
     if n <= _KERNEL_MAX_N:
-        return _householder_kernel(n)(g, s)
+        return _kernels._kernel(_householder_source, n)(g, s)
     return [s * v for row in _householder_loop(g, n) for v in row]
 
 
 def _householder_source(n: int) -> str:
-    """Source of `_householder_kernel(n)`, built from the integer n alone.
+    """Source of householder_<n>(g, s): `_householder_loop(g, n)` scaled by s and flattened.
 
-    Matrix entries are locals: x<i> is row i of the current sample column,
-    v<k>_<i> is entry i of reflector k, y<c> is column c of the current row
-    of Q. Loop bodies are straight-line, so the source grows as O(n²).
+    Every value it reads keeps the loop's operands and order (on the
+    identity, their bits), which is all the same bits need. Matrix entries
+    are locals: x<i> is row i of the current sample column, v<k>_<i> is
+    entry i of reflector k, y<c> is column c of the current row of Q; the
+    identity's rows are a literal. Loop bodies are straight-line, so the
+    source grows as O(n²).
     """
 
     def dot(xs, ys):
@@ -247,9 +250,10 @@ def _householder_source(n: int) -> str:
     out += ["        else:", f"            d{last} = x{last}"]
     # s and the sign that gives R a positive diagonal, per column of Q.
     out += [f"    m{j} = -s if d{j} < 0.0 else s" for j in range(n)]
+    rows = ", ".join(f"({r}, {', '.join('1.0' if c == r else '0.0' for c in range(n))})" for r in range(n))
     out += [
         "    q = []",
-        f"    for r, {', '.join(y)} in ROWS:",
+        f"    for r, {', '.join(y)} in ({rows}):",
         # Reflector 0 meets the identity, with whose row r v0's dot product
         # is v0_r. With column 0 zero, a later reflector meets it through
         # the general update, which on the identity leaves the same bits.
@@ -262,18 +266,6 @@ def _householder_source(n: int) -> str:
         out += [f"            y{c} -= w * v{k}_{c}" for c in range(k, n)]
     out += [f"        q += ({', '.join(f'm{j}*y{j}' for j in range(n))})", "    return q", ""]
     return "\n".join(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _householder_kernel(n: int):
-    """`_householder_loop(g, n)` scaled by s and flattened, as one compiled function of (g, s).
-
-    Every value it reads keeps the loop's operands and order (on the
-    identity, their bits), which is all the same bits need. Compiled on
-    first use, once per n.
-    """
-    rows = tuple((r, *(1.0 if c == r else 0.0 for c in range(n))) for r in range(n))
-    return _kernels._compile(_householder_source(n), f"householder_{n}", {"sqrt": math.sqrt, "ROWS": rows})
 
 
 def _householder_loop(g: list[float], n: int) -> list[list[float]]:
@@ -380,12 +372,16 @@ class FuzzContext:
     min_dim: int = 2
 
     def __post_init__(self):
-        # pivot_tol and min_dim are checked where they are used, by the
-        # elimination and the interior search.
+        # The elimination and the interior search check pivot_tol and
+        # min_dim again, for their direct callers.
         if not 0.0 < self.fair_eps < math.inf:
             raise ConfigurationError(f"fair_eps must be finite and positive, got {self.fair_eps}")
         if not -math.inf < self.unfair_theta < math.inf:
             raise ConfigurationError(f"unfair_theta must be finite, got {self.unfair_theta}")
+        if not self.pivot_tol > 0:
+            raise ConfigurationError(f"pivot_tol must be positive, got {self.pivot_tol}")
+        if isinstance(self.min_dim, bool) or not isinstance(self.min_dim, int) or self.min_dim < 2:
+            raise ConfigurationError(f"min_dim must be an integer of at least 2, got {self.min_dim!r}")
 
 
 @dataclass(frozen=True)
@@ -603,15 +599,26 @@ def _make_one_fair_row_inputs(rng, spec, ctx):
     entries nudged +/- theta, so every row has the same square sum and every
     column misses exactly one vector entry. The column imbalance this leaves
     is about 4*m*theta, so campaigns should run with
-    rtol >= 4*theta / (n * m) for the balance hypothesis to pass.
+    rtol >= 4*theta / (n * m) for the balance hypothesis to pass. Entries
+    whose square sums overflow are drawn too; their trials are not
+    applicable.
     """
     n = spec.n if spec.n >= 3 else 3
     eta = ctx.unfair_theta
     low = max(spec.entry_low, 20.0 * eta)
     high = max(spec.entry_high, 2.0 * low)
+    if math.isinf(high + abs(eta)):
+        raise ConfigurationError(
+            "one_fair_row draws entries up to max(entry_high, 2*entry_low, 40*unfair_theta) + |unfair_theta|, "
+            f"which is not finite: unfair_theta={eta}, entry_low={spec.entry_low}, entry_high={spec.entry_high}"
+        )
     m_val = rng.uniform(low, high)
     w = [m_val + eta, m_val - eta] + [m_val] * (n - 2)
     c = math.sqrt(_kernels.sum_squares(w) / n)
+    if math.isinf(c):
+        # The square sum overflowed; scaled by the largest entry, it cannot.
+        top = max(w)
+        c = top * math.sqrt(_kernels.sum_squares([v / top for v in w]) / n)
     flat = [c] * n
     for i in range(1, n):
         flat += w[i:] + w[:i]

@@ -331,6 +331,45 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"balmat fuzz: error: unfair_theta must be finite, got {float(theta)}\n"
 
+    @pytest.mark.parametrize("theta, shown", [("-inf", "-inf"), ("-nan", "nan"), ("-INFINITY", "-inf")])
+    def test_negative_float_after_a_space_reaches_its_check(self, theta, shown):
+        argv = ["fuzz", "--property", "closure_add", "--kind", "symmetric2", "--theta", theta]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == f"balmat fuzz: error: unfair_theta must be finite, got {shown}\n"
+
+    def test_negative_exponent_float_reaches_its_check(self, csv_file):
+        code, out, err = run_cli(["check", csv_file, "--rtol", "-1e-6"])
+        assert (code, out) == (1, "")
+        assert err == "balmat check: error: rtol must be finite and non-negative, got -1e-06\n"
+
+    @pytest.mark.parametrize("value", ["-1e-6", "-.5", "-2.", "-1E+3"])
+    def test_negative_floats_are_values(self, value):
+        ns = build_parser().parse_args(["fuzz", "--property", "closure_add", "--kind", "constant", "--theta", value])
+        assert ns.unfair_theta == float(value)
+
+    @pytest.mark.parametrize("pivot_tol", ["-1", "0", "nan"])
+    def test_pivot_tol_not_positive_exit_1(self, pivot_tol):
+        # No trial reaches the elimination: the setting is rejected, not echoed.
+        argv = ["fuzz", "--property", "det_nonzero", "--kind", "perturbed", "--n", "3", "--noise", "0.5"]
+        code, out, err = run_cli([*argv, "--pivot-tol", pivot_tol, "--trials", "5", "--format", "json"])
+        assert (code, out) == (1, "")
+        assert err == f"balmat fuzz: error: pivot_tol must be positive, got {float(pivot_tol)}\n"
+
+    def test_one_fair_row_theta_past_the_float_range_exit_1(self):
+        argv = ["fuzz", "--property", "one_fair_row", "--kind", "constant", "--n", "3", "--theta", "1e307"]
+        code, out, err = run_cli([*argv, "--trials", "1"])
+        assert (code, out) == (1, "")
+        assert "unfair_theta=1e+307, entry_low=1.0, entry_high=100.0" in err
+
+    @pytest.mark.parametrize("entries", [["--entry-high", "1e155"], ["--entry-low", "1e300", "--entry-high", "1e300"]])
+    def test_one_fair_row_overflowing_square_sums_are_not_applicable(self, entries):
+        argv = ["fuzz", "--property", "one_fair_row", "--kind", "constant", "--n", "4", *entries]
+        code, out, err = run_cli([*argv, "--trials", "5", "--format", "json"])
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["trials"], result["not_applicable"]) == (5, 5)
+
     def test_missing_file_exit_1(self):
         code, _, err = run_cli(["check", "/nonexistent/path.csv"])
         assert code == 1

@@ -19,7 +19,7 @@ from balmat.discrepancy import (
     interior,
     one_fair_row_check,
 )
-from balmat.errors import DimensionError, HypothesisError, InvalidInputError
+from balmat.errors import ConfigurationError, DimensionError, HypothesisError, InvalidInputError
 from balmat.genfuzz import PROPERTIES, FuzzContext, GenSpec, generate, replay_counterexample
 
 import oracles
@@ -336,7 +336,7 @@ class TestScanInteriors:
 
 class TestInteriorConjectureCheck:
     def test_min_dim_below_two_is_invalid(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigurationError, match="min_dim must be an integer of at least 2, got 1"):
             replay_counterexample("interior_conjecture", (identity(4),), FuzzContext(min_dim=1))
 
     def test_unbalanced_input_fails_the_gate(self):

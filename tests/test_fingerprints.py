@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import balmat
-from balmat import _kernels, genfuzz
+from balmat import _kernels, algebra, genfuzz
 from balmat.genfuzz import PROPERTIES
 
 from fingerprint_cases import CASES, EXPECTED, case_id, fingerprint, run_case
@@ -40,18 +40,19 @@ def test_fingerprint_sees_one_bit():
 def test_no_version_dependent_summation():
     # Since Python 3.12 builtin sum() adds floats with compensated summation,
     # so it rounds differently from 3.11 and would change fingerprints. The
-    # generated kernels are checked with the files: every Householder n, and
-    # the shape kernels at the smallest shapes and at the bound (their source
-    # differs between shapes only in length).
+    # generated kernels are checked with the files: every Householder and
+    # determinant n, and the shape kernels at the smallest shapes and at the
+    # bound (their source differs between shapes only in length).
     k = _kernels._SHAPE_KERNEL_MAX_N
     sources = [(path.name, path.read_text()) for path in sorted(Path(balmat.__file__).parent.glob("*.py"))]
     sources += [(f"<householder_{n}>", genfuzz._householder_source(n)) for n in range(2, genfuzz._KERNEL_MAX_N + 1)]
     sources += [
-        (f"<{kind}_{n}x{m}>", _kernels._kernel_source(kind, n, m))
-        for kind in ("balance", "line_stats")
+        (f"<{build.__name__}({n}, {m})>", build(n, m))
+        for build in (_kernels._balance_source, _kernels._line_stats_source)
         for n in (1, 2, 3, k)
         for m in (1, 2, 3, k)
     ]
+    sources += [(f"<det_{n}>", algebra._det_source(n)) for n in range(1, k + 1)]
     found = []
     for name, source in sources:
         for node in ast.walk(ast.parse(source, name)):

@@ -43,7 +43,6 @@ from balmat.genfuzz import (
     _build_scaled_orthogonal,
     _gaussians,
     _generate_with,
-    _householder_kernel,
     _householder_loop,
     _householder_source,
     _mix,
@@ -343,23 +342,22 @@ class TestGaussianDraws:
 
 
 class TestHouseholderKernel:
-    def test_each_dimension_compiles_once(self):
+    def test_each_dimension_compiles_once(self, householder_builds):
         def draw_every_dimension():
             for n in ORTHOGONAL_DIMS:
                 _scaled_orthogonal(random.Random(n), n, 1.0)
 
         draw_every_dimension()
-        info = _householder_kernel.cache_info()
-        # one entry per n in 2.._KERNEL_MAX_N; n = 1 and larger n run no kernel
-        assert info.currsize <= _KERNEL_MAX_N - 1
+        built = list(householder_builds)
+        # one source per n in 2.._KERNEL_MAX_N; n = 1 and larger n run no kernel
+        assert len(built) <= _KERNEL_MAX_N - 1
         draw_every_dimension()
-        assert _householder_kernel.cache_info().misses == info.misses
+        assert householder_builds == built
 
-    def test_larger_dimensions_run_the_loop(self):
-        before = _householder_kernel.cache_info()
+    def test_larger_dimensions_run_the_loop(self, householder_builds):
         for n in (_KERNEL_MAX_N + 1, _KERNEL_MAX_N + 2):
             _scaled_orthogonal(random.Random(n), n, 1.0)
-        assert _householder_kernel.cache_info() == before
+        assert householder_builds == []
 
     def test_source_grows_quadratically(self):
         # a full O(n³) unroll would grow eightfold from n = 8 to n = 16
@@ -613,6 +611,38 @@ class TestOneConfiguration:
     def test_unfair_theta_must_be_finite(self, theta):
         with pytest.raises(ConfigurationError, match=f"^unfair_theta must be finite, got {theta}$"):
             FuzzContext(unfair_theta=theta)
+
+    @pytest.mark.parametrize("pivot_tol", [0.0, -1.0, -math.inf, math.nan])
+    def test_pivot_tol_must_be_positive(self, pivot_tol):
+        with pytest.raises(ConfigurationError, match=f"^pivot_tol must be positive, got {pivot_tol}$"):
+            FuzzContext(pivot_tol=pivot_tol)
+
+    @pytest.mark.parametrize("min_dim", [1, 0, -5, 2.0, True, "3"])
+    def test_min_dim_must_be_an_integer_of_at_least_two(self, min_dim):
+        with pytest.raises(ConfigurationError, match=f"^min_dim must be an integer of at least 2, got {min_dim!r}$"):
+            FuzzContext(min_dim=min_dim)
+
+    @pytest.mark.parametrize(
+        "theta, low, high", [(1e307, 1.0, 100.0), (-1e308, 1.0, 1e308), (1.0, 9e307, 9e307)]
+    )
+    def test_one_fair_row_entries_past_the_float_range(self, theta, low, high):
+        spec = GenSpec(kind="constant", n=3, entry_low=low, entry_high=high)
+        with pytest.raises(ConfigurationError) as exc:
+            fuzz_campaign("one_fair_row", spec, 1, FuzzContext(unfair_theta=theta))
+        assert f"unfair_theta={theta}, entry_low={low}, entry_high={high}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "n, low, high", [(4, 1.0, 1e155), (4, 1e300, 1e300), (3, 8e307, sys.float_info.max), (9, 1e300, 1e308)]
+    )
+    def test_one_fair_row_square_sums_that_overflow(self, n, low, high):
+        # The row value is computed scaled, so the drawn matrix is finite;
+        # its square sums overflow, so no trial is applicable.
+        spec = GenSpec(kind="constant", n=n, entry_low=low, entry_high=high)
+        for seed in range(5):
+            (m,) = PROPERTIES["one_fair_row"].make_inputs(random.Random(seed), spec, FuzzContext())
+            assert all(map(math.isfinite, m.entries))
+        rep = fuzz_campaign("one_fair_row", spec, 5)
+        assert (rep.not_applicable, rep.passes, rep.violations) == (5, 0, 0)
 
     def test_one_default_per_parameter_and_the_benchmark_calls(self):
         ctx = FuzzContext()

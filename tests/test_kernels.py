@@ -180,43 +180,56 @@ def _run_det(n):
 
 def test_shapes_past_the_bound_compile_nothing():
     before = _kernels._kernel.cache_info()
-    det_before = algebra._det_kernel.cache_info()
     for n, m in [(K + 1, 1), (1, K + 1), (K + 1, K), (K, K + 1)]:
         _run_shape_kernels(n, m)
     _run_det(K + 1)
     assert _kernels._kernel.cache_info() == before
-    assert algebra._det_kernel.cache_info() == det_before
 
 
 def test_each_shape_compiles_once():
     _run_shape_kernels(3, 4)
     _run_det(3)
     before = _kernels._kernel.cache_info()
-    det_before = algebra._det_kernel.cache_info()
     _run_shape_kernels(3, 4)
     _run_det(3)
     after = _kernels._kernel.cache_info()
-    det_after = algebra._det_kernel.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
-    assert after.hits == before.hits + 2
-    assert (det_after.misses, det_after.currsize) == (det_before.misses, det_before.currsize)
-    assert det_after.hits == det_before.hits + 1
+    # balance, line statistics and det
+    assert after.hits == before.hits + 3
 
 
 @pytest.mark.parametrize("kind", ["line_stats", "det"])
 def test_shape_kernels_call_nothing(kind):
     # No builtin min(), max() or abs(): a call costs more than the comparisons it saves.
-    source = algebra._det_source(K) if kind == "det" else _kernels._kernel_source(kind, 3, K)
+    source = algebra._det_source(K) if kind == "det" else _kernels._line_stats_source(3, K)
     tree = ast.parse(source)
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
-@pytest.mark.parametrize("kind", ["row_square_sums", "col_square_sums", "foo"])
-def test_only_the_balance_and_line_stats_kinds_are_built(kind):
-    before = _kernels._kernel.cache_info()
-    with pytest.raises(KeyError):
-        _kernels._kernel(kind, 3, 3)
-    assert _kernels._kernel.cache_info().currsize == before.currsize
+def test_code_is_compiled_only_by_the_kernel_cache_and_one_write_init():
+    # Every generated kernel goes through `_kernels._kernel`, the one cache
+    # keyed by builder and shape, so no module keeps a cache of its own.
+    def calls(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from calls(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                if child.func.id in ("exec", "compile"):
+                    yield f"{module}.{function} {child.func.id}"
+            yield from calls(child, module, function)
+
+    found = [
+        call
+        for path in sorted(Path(_kernels.__file__).parent.glob("*.py"))
+        for call in calls(ast.parse(path.read_text(), path.name), path.stem, "<module>")
+    ]
+    assert sorted(found) == [
+        "_kernels._kernel compile",
+        "_kernels._kernel exec",
+        "core.one_write_init compile",
+        "core.one_write_init exec",
+    ]
 
 
 #: Any float, NaN and the infinities included.
@@ -554,5 +567,5 @@ def test_balance_compiles_once_per_shape_and_not_past_the_bound():
 
 
 def test_balance_kernel_calls_only_the_pairwise_fallback():
-    tree = ast.parse(_kernels._kernel_source("balance", 3, K))
+    tree = ast.parse(_kernels._balance_source(3, K))
     assert [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)] == ["pairs_close"] * 2
