@@ -15,7 +15,9 @@ would replace. Larger shapes run the loops.
 (the determinant) and `genfuzz` (the Householder draw), on first use of
 its builder and shape, never at import, and caches it. Each builder sits
 beside its one caller, so a command that never loads a module compiles
-none of its kernels. `rref` is the full reduction with its trail.
+none of its kernels. `forward` is the one partial-pivot elimination:
+`rref` adds back-substitution, and `algebra.det_via_trail` falls back to it
+where the generated determinant declines.
 
 Every kernel takes n, m >= 1, which `Matrix` guarantees.
 """
@@ -138,63 +140,87 @@ def spectrum2(a, b, c, d):
     return other, q, False
 
 
-def rref(entries, n, m, pivot_tol):
-    """Reduced row echelon form with a trail of elementary row operations.
+def forward(entries, n, m, pivot_tol):
+    """Forward elimination with partial pivoting, for `rref` and the determinant.
 
-    Partial pivoting: the largest-magnitude candidate in each column is
-    swapped into pivot position; candidates at or below `pivot_tol` are
-    treated as zero. Pivot entries are forced to exactly 1.0, and eliminated
-    entries and the candidates of a column without a pivot to exactly 0.0.
-    Returns (reduced_entries, trail, rank) where the trail is a list of
-    (kind, i, j, factor) tuples, the fields of `algebra.ElementaryOp`.
+    Each column's largest-magnitude candidate is swapped into pivot position
+    and scaled to exactly 1.0, and the entries below it are cleared to 0.0.
+    Candidates at or below `pivot_tol` count as zero and are stored as 0.0,
+    so that scaling a later pivot row cannot lift a residue above pivot_tol.
+    Returns (reduced_entries, steps, pivots): the steps are (kind, i, j,
+    factor) tuples, the fields of `algebra.ElementaryOp`; each pivot is
+    (column, index in steps of its first step below it).
     """
     r = list(entries)
-    trail = []
-    pivot_row = 0
+    steps = []
+    pivots = []
     for col in range(m):
-        if pivot_row >= n:
+        p = len(pivots)
+        if p >= n:
             break
-        best = pivot_row
-        best_abs = abs(r[pivot_row * m + col])
-        for i in range(pivot_row + 1, n):
+        best = p
+        best_abs = abs(r[p * m + col])
+        for i in range(p + 1, n):
             v = abs(r[i * m + col])
             if v > best_abs:
                 best = i
                 best_abs = v
         if best_abs <= pivot_tol:
-            # Store them as zero, so that scaling a later pivot row cannot
-            # lift a residue above pivot_tol.
-            for i in range(pivot_row, n):
+            for i in range(p, n):
                 r[i * m + col] = 0.0
             continue
-        if best != pivot_row:
-            a_base = pivot_row * m
+        p_base = p * m
+        p_end = p_base + m
+        if best != p:
             b_base = best * m
-            for j in range(m):
-                r[a_base + j], r[b_base + j] = r[b_base + j], r[a_base + j]
-            trail.append(("swap_rows", pivot_row, best, 0.0))
-        pivot = r[pivot_row * m + col]
+            r[p_base:p_end], r[b_base : b_base + m] = r[b_base : b_base + m], r[p_base:p_end]
+            steps.append(("swap_rows", p, best, 0.0))
+        pivot = r[p_base + col]
         if pivot != 1.0:
             f = 1.0 / pivot
-            base = pivot_row * m
-            for j in range(m):
-                r[base + j] *= f
-            r[base + col] = 1.0
-            trail.append(("scale_row", pivot_row, pivot_row, f))
-        p_base = pivot_row * m
-        for i in range(n):
-            if i == pivot_row:
-                continue
-            x = r[i * m + col]
-            if x != 0.0:
-                f = -x
-                base = i * m
-                for j in range(m):
-                    r[base + j] += f * r[p_base + j]
-                r[base + col] = 0.0
-                trail.append(("add_multiple", i, pivot_row, f))
-        pivot_row += 1
-    return r, trail, pivot_row
+            r[p_base:p_end] = [v * f for v in r[p_base:p_end]]
+            r[p_base + col] = 1.0
+            steps.append(("scale_row", p, p, f))
+        pivots.append((col, len(steps)))
+        _clear(r, m, range(p + 1, n), p, col, steps)
+    return r, steps, pivots
+
+
+def rref(entries, n, m, pivot_tol):
+    """Reduced row echelon form with a trail of elementary row operations.
+
+    `forward`, then each pivot in increasing order clears its column above
+    it. Each row thus takes the one-pass Gauss-Jordan reduction's steps in
+    its order, so the entries are its bits, and each pivot's steps above go
+    into the trail where that reduction records them: after its scale.
+    Returns (reduced_entries, trail, rank), the trail as `forward`'s steps.
+    """
+    r, steps, pivots = forward(entries, n, m, pivot_tol)
+    trail = []
+    done = 0
+    for p, (col, below) in enumerate(pivots):
+        trail += steps[done:below]
+        done = below
+        _clear(r, m, range(p), p, col, trail)
+    trail += steps[done:]
+    return r, trail, len(pivots)
+
+
+def _clear(r, m, rows, p, col, trail):
+    """Clear column `col` of `rows` with pivot row p, whose pivot is 1.0, recording each step."""
+    p_base = p * m
+    pivot_row = r[p_base : p_base + m]
+    for i in rows:
+        base = i * m
+        x = r[base + col]
+        if x != 0.0:
+            f = -x
+            j = base
+            for w in pivot_row:
+                r[j] += f * w
+                j += 1
+            r[base + col] = 0.0
+            trail.append(("add_multiple", i, p, f))
 
 
 def line_stats(entries, n, m):

@@ -6,11 +6,11 @@ recording every elementary row operation. The determinant then falls out of
 the trail (`RrefResult.determinant`): each recorded operation corresponds to
 an elementary matrix with known determinant, and the product of those
 determinants inverts to the determinant of the input. `det_via_trail` runs
-the forward part of that elimination alone, with no trail, as a
+the forward part of that elimination alone, `_kernels.forward`, as a
 straight-line function generated per n up to `_kernels._SHAPE_KERNEL_MAX_N`
-and compiled by `_kernels._kernel`. Its builder `_det_source` sits here,
-next to its one caller, so that a command that never loads this module
-compiles none.
+and compiled by `_kernels._kernel`; the inputs that function declines run
+`_kernels.forward` itself. Its builder `_det_source` sits here, next to its
+one caller, so that a command that never loads this module compiles none.
 """
 
 from __future__ import annotations
@@ -59,18 +59,11 @@ class RrefResult:
 
         A full-rank n x n matrix reduces to the identity through elementary
         operations E_1..E_k, so its determinant is the reciprocal of the
-        product of their det factors, multiplied in trail order: the factor
-        of a scale step, -1.0 for a swap. An add-multiple step's factor is
-        exactly 1.0, so leaving it out changes no bits. Rank-deficient input
-        gives exactly 0.0, and a determinant that overflows gives +-inf.
+        product of their det factors (`_trail_product`). Rank-deficient
+        input gives exactly 0.0, and a determinant that overflows gives +-inf.
         """
         _require_square(self.R)
-        prod = 1.0
-        for op in self.trail:
-            if op.kind == "scale_row":
-                prod *= op.factor
-            elif op.kind == "swap_rows":
-                prod *= -1.0
+        prod = _trail_product((op.kind, op.i, op.j, op.factor) for op in self.trail)
         return _det_from(prod, self.rank, self.R.n_rows)
 
 
@@ -156,6 +149,23 @@ def _require_finite(reduced) -> None:
         raise InvalidInputError("elimination overflowed: the reduced form has a non-finite entry")
 
 
+def _trail_product(steps) -> float:
+    """Product of the det factors of (kind, i, j, factor) steps, multiplied in trail order.
+
+    A scale step's is its factor, a swap's -1.0; an add-multiple step's, 1.0,
+    is left out. A zero scale factor (an infinite pivot) raises InvalidInputError.
+    """
+    prod = 1.0
+    for kind, _, _, factor in steps:
+        if kind == "scale_row":
+            if factor == 0.0:
+                raise InvalidInputError("scale_row factor must be nonzero")
+            prod *= factor
+        elif kind == "swap_rows":
+            prod *= -1.0
+    return prod
+
+
 def _det_from(prod: float, rank: int, n: int) -> float:
     """The determinant that a product of det factors and a rank give."""
     if rank < n:
@@ -170,89 +180,41 @@ def det_via_trail(a: Matrix, pivot_tol: float = 1e-10) -> float:
     The elimination is `rref_with_trail`'s below each pivot: the same
     swaps and scale factors, whose det factors (-1.0 per swap, the factor
     of a scale step) multiply in trail order to the reciprocal of det(a).
-    No trail is kept, and nothing above a pivot is eliminated, since those
-    add-multiple steps have det factor 1; an overflow there is not seen.
-    Rank-deficient input returns exactly 0.0, and a determinant that
-    overflows +-inf. A zero scale factor, then a non-finite entry of the
-    forward-reduced form, raises InvalidInputError.
+    Nothing above a pivot is eliminated, since those add-multiple steps
+    have det factor 1; an overflow there is not seen. Rank-deficient input
+    returns exactly 0.0, and a determinant that overflows +-inf. A zero
+    scale factor, then a non-finite entry of the forward-reduced form,
+    raises InvalidInputError.
 
     For n <= `_kernels._SHAPE_KERNEL_MAX_N` a function generated for n
     (`_det_source`, compiled by `_kernels._kernel`) runs the elimination;
     it declines every input outside the full-rank, finite case, and those
-    and larger n run `_det_loop`. Both give the same bits.
+    and larger n run `_kernels.forward`. Both give the same bits.
     """
     _require_square(a)
     _require_pivot_tol(pivot_tol)
     n = a.n_rows
-    rank = n
     prod = _kernels._kernel(_det_source, n)(a.entries, pivot_tol) if n <= _kernels._SHAPE_KERNEL_MAX_N else None
-    if prod is None:
-        prod, rank = _det_loop(a.entries, n, pivot_tol)
-    return _det_from(prod, rank, n)
-
-
-def _det_loop(entries, n: int, pivot_tol: float) -> tuple[float, int]:
-    """(product of det factors, rank) of the forward elimination of n x n `entries`.
-
-    `_kernels.rref`'s steps below each pivot on whole rows, with the det
-    factors multiplied as they come instead of kept in a trail. Raises
-    InvalidInputError as `rref_with_trail` does, on the forward-reduced form.
-    """
-    r = list(entries)
-    prod = 1.0
-    pivot_row = 0
-    for col in range(n):
-        best = pivot_row
-        best_abs = abs(r[pivot_row * n + col])
-        for i in range(pivot_row + 1, n):
-            v = abs(r[i * n + col])
-            if v > best_abs:
-                best = i
-                best_abs = v
-        if best_abs <= pivot_tol:
-            for i in range(pivot_row, n):
-                r[i * n + col] = 0.0
-            continue
-        p_base = pivot_row * n
-        if best != pivot_row:
-            b_base = best * n
-            for j in range(n):
-                r[p_base + j], r[b_base + j] = r[b_base + j], r[p_base + j]
-            prod *= -1.0
-        pivot = r[p_base + col]
-        if pivot != 1.0:
-            f = 1.0 / pivot
-            if f == 0.0:
-                raise InvalidInputError("scale_row factor must be nonzero")
-            for j in range(n):
-                r[p_base + j] *= f
-            r[p_base + col] = 1.0
-            prod *= f
-        for i in range(pivot_row + 1, n):
-            x = r[i * n + col]
-            if x != 0.0:
-                f = -x
-                base = i * n
-                for j in range(n):
-                    r[base + j] += f * r[p_base + j]
-                r[base + col] = 0.0
-        pivot_row += 1
-    _require_finite(r)
-    return prod, pivot_row
+    if prod is not None:
+        return _det_from(prod, n, n)
+    reduced, steps, pivots = _kernels.forward(a.entries, n, n, pivot_tol)
+    prod = _trail_product(steps)
+    _require_finite(reduced)
+    return _det_from(prod, len(pivots), n)
 
 
 def _det_source(n: int) -> str:
-    """Source of det_<n>(entries, tol): `_det_loop`'s product of det factors, for n x n entries.
+    """Source of det_<n>(entries, tol): the product of `_kernels.forward`'s det factors, for n x n entries.
 
     The row at position i holds the locals a<i>_<j>; a swap exchanges two
     positions' locals. Column k updates only the columns right of k:
     further left, the rows below the pivot hold zeros that no determinant
-    reads, and the pivot entry is read once. The steps are the loop's, on
+    reads, and the pivot entry is read once. The steps are `forward`'s, on
     the same operands in the same order, so the factors are its bits. A
     magnitude is written `x if x >= 0.0 else -x`, which orders candidates
     as abs() does, -0.0 and NaN included.
 
-    The function returns None where the loop's answer may not be a
+    The function returns None where `forward`'s answer may not be a
     full-rank product: a column without a candidate above pivot_tol, a
     scale factor that is 0.0 (an infinite pivot) or not finite, or a
     non-finite entry right of a pivot, checked last as x - x, which is 0.0

@@ -61,7 +61,7 @@ class TolerancePolicy:
     def __post_init__(self):
         for name in ("rtol", "atol"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
                 raise InvalidInputError(f"{name} must be finite and non-negative, got {value!r}")
         if self.rtol == 0 and self.atol == 0:
             raise InvalidInputError("at least one of rtol, atol must be positive")

@@ -374,6 +374,12 @@ class FuzzContext:
     def __post_init__(self):
         # The elimination and the interior search check pivot_tol and
         # min_dim again, for their direct callers.
+        if not isinstance(self.tol, TolerancePolicy):
+            raise ConfigurationError(f"tol must be a TolerancePolicy, got {self.tol!r}")
+        for name in ("fair_eps", "unfair_theta", "pivot_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(f"{name} must be an int or a float, got {value!r}")
         if not 0.0 < self.fair_eps < math.inf:
             raise ConfigurationError(f"fair_eps must be finite and positive, got {self.fair_eps}")
         if not -math.inf < self.unfair_theta < math.inf:
@@ -731,7 +737,7 @@ PROPERTIES: dict[str, PropertyDef] = {
         PropertyDef("closure_inverse", "theorem", _gen_one, _check_closure_inverse),
         PropertyDef("closure_transpose", "theorem", _gen_one, _check_closure_transpose),
         PropertyDef("closure_scale", "theorem", _make_scale_inputs, _check_closure_scale),
-        PropertyDef("det_nonzero", "theorem", _gen_one, _check_det_nonzero),
+        PropertyDef("det_nonzero", "conjecture", _gen_one, _check_det_nonzero),
         PropertyDef("estimator_exact", "theorem", _gen_one, _check_estimator_exact),
         PropertyDef("estimator_scaling", "monitor", _gen_one, _check_estimator_scaling),
         PropertyDef("emax_additivity", "theorem", _gen_pair, _check_emax_additivity),

@@ -377,3 +377,92 @@ class TestDetViaTrail:
             if abs(expected) < 1e-3:
                 continue
             assert det_via_trail(matrix_from_rows(rows)) == pytest.approx(expected, rel=1e-9)
+
+
+# Entries that overflow, underflow or fall under a pivot threshold, with
+# +-0.0 and small integers; mixed with uniform(-10, 10).
+SPECIAL_ENTRIES = (0.0, -0.0, 1.0, -1.0, 2.0, 1e-12, 3e-11, 1e300, -1e300, 1e-300, 1e308, -1e308)
+PIVOT_TOLS = (1e-10, 1e-3, 1e-320)
+OVERFLOW_ROWS = [
+    # Overflows only above its pivots: the full reduction raises, the
+    # forward elimination answers 1.0.
+    [[1, 1e300, 0], [0, 1, 1e10], [0, 0, 1]],
+    [[1e-5, 1e305], [0, 1]],
+    [[1, 1e308], [1, -1e308]],
+    [[1e308, 1e308, 1], [-1e308, 1e308, 2], [1, 2, 3]],
+    [[1e-5, 1e305, 0], [0, 1, 2]],
+]
+
+
+def one_pass_sweep(count, seed):
+    """(entries, n, m) at n, m = 1..10: special and uniform entries, and repeated rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        m = n if rng.random() < 0.5 else rng.randint(1, 10)
+        mix = rng.choice((0.0, 0.3, 1.0))
+        entries = [rng.choice(SPECIAL_ENTRIES) if rng.random() < mix else rng.uniform(-10, 10) for _ in range(n * m)]
+        if n > 1 and rng.random() < 0.3:
+            src, dst = rng.randrange(n), rng.randrange(n)
+            entries[dst * m : (dst + 1) * m] = entries[src * m : (src + 1) * m]
+        yield tuple(entries), n, m
+
+
+def _hexed(reduced, trail, rank):
+    """A reduction's entries and trail factors as float.hex, so that -0.0 and nan compare bit for bit."""
+    return [v.hex() for v in reduced], [(kind, i, j, f.hex()) for kind, i, j, f in trail], rank
+
+
+def _rref_outcome(rref, m, pivot_tol):
+    """rref_with_trail's checks on what `rref` returns: the type and message of its error, else its hexed result."""
+    reduced, trail, rank = rref(m.entries, m.n_rows, m.n_cols, pivot_tol)
+    try:
+        for op in trail:
+            ElementaryOp(*op)
+    except InvalidInputError as exc:
+        return "InvalidInputError", str(exc)
+    if not all(map(math.isfinite, reduced)):
+        return "InvalidInputError", "elimination overflowed: the reduced form has a non-finite entry"
+    return _hexed(reduced, trail, rank)
+
+
+@st.composite
+def one_pass_cases(draw, max_dim=6):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    m = draw(st.integers(min_value=1, max_value=max_dim))
+    special = st.sampled_from(SPECIAL_ENTRIES)
+    return tuple(draw(st.lists(st.one_of(special, entry), min_size=n * m, max_size=n * m))), n, m
+
+
+class TestForwardPlusBackSubstitution:
+    """`_kernels.rref` is `forward` plus back-substitution; the one-pass reduction is its reference."""
+
+    @pytest.mark.parametrize("pivot_tol", PIVOT_TOLS)
+    def test_matches_the_one_pass_reduction_on_seeded_inputs(self, pivot_tol):
+        ranks = set()
+        for entries, n, m in one_pass_sweep(1500, 31):
+            got = _kernels.rref(entries, n, m, pivot_tol)
+            assert _hexed(*got) == _hexed(*oracles.rref(entries, n, m, pivot_tol)), (entries, n, m)
+            ranks.add(got[2] < min(n, m))
+        assert ranks == {False, True}  # full-rank and rank-deficient inputs both met
+
+    @given(one_pass_cases(), st.sampled_from(PIVOT_TOLS))
+    @example(((1.0, 2.0, 1.0, 2.0) * 2 + (2.0, 1.0, 2.0, 1.0) * 2, 4, 4), 1e-10)
+    @example(((1.0, 1e300, 0.0, 0.0, 1.0, 1e10, 0.0, 0.0, 1.0), 3, 3), 1e-320)
+    def test_matches_the_one_pass_reduction(self, case, pivot_tol):
+        entries, n, m = case
+        assert _hexed(*_kernels.rref(entries, n, m, pivot_tol)) == _hexed(*oracles.rref(entries, n, m, pivot_tol))
+
+    @pytest.mark.parametrize("pivot_tol", PIVOT_TOLS)
+    @pytest.mark.parametrize("rows", OVERFLOW_ROWS)
+    def test_overflow_raises_as_the_one_pass_reduction_does(self, rows, pivot_tol):
+        m = matrix_from_rows(rows)
+        want = _rref_outcome(oracles.rref, m, pivot_tol)
+        assert _rref_outcome(_kernels.rref, m, pivot_tol) == want
+        try:
+            res = rref_with_trail(m, pivot_tol)
+            got = _hexed(res.R.entries, [(op.kind, op.i, op.j, op.factor) for op in res.trail], res.rank)
+        except InvalidInputError as exc:
+            got = "InvalidInputError", str(exc)
+        assert got == want
+        assert _det_outcome(det_via_trail, m, pivot_tol) == _det_outcome(oracles.det_via_trail, m, pivot_tol)

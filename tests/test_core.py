@@ -68,6 +68,11 @@ class TestTolerancePolicy:
         with pytest.raises(InvalidInputError):
             TolerancePolicy(rtol=0.0, atol=0.0)
 
+    @pytest.mark.parametrize("kwargs, name", [(dict(rtol=True), "rtol"), (dict(rtol=0.0, atol=True), "atol")])
+    def test_rejects_bools(self, kwargs, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite and non-negative, got True$"):
+            TolerancePolicy(**kwargs)
+
     def test_one_sided_policies_allowed(self):
         assert TolerancePolicy(rtol=0.0, atol=1e-9).allowance(5.0, 3.0) == 1e-9
         assert TolerancePolicy(rtol=1e-6, atol=0.0).allowance(5.0, 3.0) == pytest.approx(5e-6)

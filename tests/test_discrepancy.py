@@ -350,6 +350,17 @@ class TestInteriorConjectureCheck:
     def test_too_small_is_not_applicable(self):
         assert replay_counterexample("interior_conjecture", (identity(3),), FuzzContext(min_dim=3)) is None
 
+    def test_circulant_1_2_3_refutes_the_conjecture(self):
+        # Positive and exactly balanced, yet none of its four 2x2 windows
+        # is balanced: a 2x2 [[a, b], [c, d]] is balanced only if
+        # |a| = |d| and |b| = |c|.
+        m = matrix_from_rows([[1, 2, 3], [3, 1, 2], [2, 3, 1]])
+        report = classify_balance(m)
+        assert (report.max_defect, report.fully_balanced) == (0.0, True)
+        assert find_balanced_interior(m) is None
+        assert not replay_counterexample("interior_conjecture", (m,)).holds
+        assert PROPERTIES["interior_conjecture"].grade == "conjecture"
+
     def test_violation_reports_the_best_block(self):
         m = generate(GenSpec(kind="scaled_orthogonal", n=5, seed=3))
         rec = replay_counterexample("interior_conjecture", (m,))

@@ -617,6 +617,19 @@ class TestOneConfiguration:
         with pytest.raises(ConfigurationError, match=f"^pivot_tol must be positive, got {pivot_tol}$"):
             FuzzContext(pivot_tol=pivot_tol)
 
+    @pytest.mark.parametrize("tol", [None, (1e-6, 1e-9)])
+    def test_tol_must_be_a_tolerance_policy(self, tol):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'tol must be a TolerancePolicy, got {tol!r}')}$"):
+            FuzzContext(tol=tol)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("fair_eps", "0.1"), ("fair_eps", True), ("unfair_theta", None), ("unfair_theta", False), ("pivot_tol", "1")],
+    )
+    def test_numbers_must_be_ints_or_floats(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an int or a float, got {value!r}$"):
+            FuzzContext(**{name: value})
+
     @pytest.mark.parametrize("min_dim", [1, 0, -5, 2.0, True, "3"])
     def test_min_dim_must_be_an_integer_of_at_least_two(self, min_dim):
         with pytest.raises(ConfigurationError, match=f"^min_dim must be an integer of at least 2, got {min_dim!r}$"):
@@ -1003,7 +1016,7 @@ UNPROBED = {"one_fair_row", "det_homomorphism"}
 def test_readme_grades_every_property():
     assert readme_grades() == {name: prop.grade for name, prop in PROPERTIES.items()}
     assert {prop.grade for prop in PROPERTIES.values()} == {"theorem", "conjecture", "monitor"}
-    assert len(THEOREMS) == 14
+    assert len(THEOREMS) == 13
 
 
 @pytest.mark.parametrize("name", THEOREMS)
@@ -1038,3 +1051,25 @@ def test_sign_agnostic_theorems_hold_on_every_sign_class(name, sb, sa):
             applicable += 1
             assert record.holds, (m, record)
     assert applicable > 0
+
+
+@pytest.mark.parametrize(
+    "m, rank",
+    [
+        pytest.param(matrix_from_rows([[1, 2, 1, 2], [1, 2, 1, 2], [2, 1, 2, 1], [2, 1, 2, 1]]), 2, id="repeated-rows"),
+        # The circulant circ(1, 2, 2, 1): its determinant is the product
+        # of f(w) = 1 + 2w + 2w^2 + w^3 over the 4th roots of unity w, and
+        # f(-1) = 0 is the only zero.
+        pytest.param(matrix_from_rows([[1, 2, 2, 1], [1, 1, 2, 2], [2, 1, 1, 2], [2, 2, 1, 1]]), 3, id="circ-1-2-2-1"),
+        pytest.param(matrix_from_rows([[-1, -1, 0], [-1, 0, -1], [0, -1, 1]]), 2, id="signed-3x3"),
+    ],
+)
+def test_det_nonzero_is_false_from_n_3(m, rank):
+    # Exactly balanced, moduli not all equal, and singular: det_nonzero
+    # holds only for 2x2, and is graded a conjecture.
+    report = classify_balance(m)
+    assert (report.horizontal_defect, report.vertical_defect, report.fully_balanced) == (0.0, 0.0, True)
+    assert rref_with_trail(m).rank == rank
+    assert det_via_trail(m) == 0.0
+    assert not replay_counterexample("det_nonzero", (m,)).holds
+    assert PROPERTIES["det_nonzero"].grade == "conjecture"
