@@ -105,19 +105,12 @@ def _fmt_float(x: float) -> str:
     return s if s[-1] <= "9" else _JSON_NON_FINITE[s]
 
 
+#: JSON string escapes: the quote, the backslash and each code point below 0x20.
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -273,11 +266,12 @@ def _cmd_discrepancy(ns: argparse.Namespace, a: Matrix) -> dict:
 
     def run_check(name, fn):
         try:
-            rec = fn()
+            checks[name] = _record_dict(fn())
         except HypothesisError as exc:
-            checks[name] = {"hypothesis_error": str(exc)}
-            return
-        checks[name] = {"not_applicable": True} if rec is None else _record_dict(rec)
+            # one_fair_row's own premise reads as not applicable; any other
+            # failed premise reads as its message.
+            not_one = exc.hypothesis == "not-one-fair-row"
+            checks[name] = {"not_applicable": True} if not_one else {"hypothesis_error": str(exc)}
 
     eps = ns.fair_eps
     run_check("fairness_transfer", lambda: fairness_transfer_check(a, tol, eps))

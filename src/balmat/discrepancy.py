@@ -17,12 +17,19 @@ from operator import add
 from balmat import _kernels
 from balmat.balance import BalanceReport, classify_balance, nan_max, require_balanced, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, _generated_matrix, one_write_init
-from balmat.errors import DimensionError, InvalidInputError
+from balmat.errors import DimensionError, HypothesisError, InvalidInputError
 
 #: Tolerance widening applied when a fairness verdict is transported to the
 #: other axis: the argument passes through two approximations (line means
 #: agree, then entries agree), so the receiving side gets twice the budget.
 TRANSFER_FACTOR = 2.0
+
+#: Largest number of rows or columns an interior scan takes. The run-sum
+#: table holds about n³ floats, and the corollary's scan of every block
+#: grows as n⁵. Measured on CPython 3.11.7 (2 vCPUs): at n = 32 a search
+#: that finds nothing takes 16 ms and the corollary check 0.42 s; the
+#: corollary takes 2.2 s at n = 48, and the search 2.0 s and 97 MiB at 128.
+MAX_INTERIOR_DIMENSION = 32
 
 
 @one_write_init
@@ -94,11 +101,12 @@ def one_fair_row_check(
     tol: TolerancePolicy = DEFAULT_TOL,
     fair_eps: float = 0.1,
     unfair_theta: float = 1.0,
-) -> CheckRecord | None:
+) -> CheckRecord:
     """If exactly one row is fair, the columns must carry a large deviation.
 
-    Returns None (not applicable) when the premise fails, i.e. when the
-    number of individually fair rows differs from one. For 2x2 matrices a
+    Requires a positive, fully balanced matrix with exactly one row fair at
+    eps; raises HypothesisError("not-one-fair-row") when the number of
+    individually fair rows differs from one. For 2x2 matrices a
     balanced matrix cannot have exactly one fair row, so there the check
     verifies instead that the remaining row is fair at the widened 2*eps
     budget. For larger shapes the conclusion is that some column deviation
@@ -111,7 +119,7 @@ def one_fair_row_check(
     require_balanced(a, tol)
     rep = discrepancy_report(a, fair_eps)
     if len(rep.fair_row_indices) != 1:
-        return None
+        raise HypothesisError("not-one-fair-row", f"{len(rep.fair_row_indices)} rows fair at {fair_eps}")
     if a.n_rows == 2 and a.n_cols == 2:
         return CheckRecord.bounded(
             "one_fair_row", rep.max_row_deviation, TRANSFER_FACTOR * fair_eps
@@ -133,9 +141,7 @@ def fairness_propagation_check(
     rep = discrepancy_report(a, fair_eps)
     budget = TRANSFER_FACTOR * fair_eps
     if not rep.fair_row_indices:
-        return CheckRecord(
-            "fairness_propagation", True, rep.max_row_deviation, budget, -1.0
-        )
+        return CheckRecord.verdict("fairness_propagation", True, rep.max_row_deviation, budget)
     return CheckRecord.bounded("fairness_propagation", rep.max_row_deviation, budget)
 
 
@@ -177,7 +183,13 @@ def _run_square_sums(a: Matrix) -> tuple[list[list[list[float]]], list[list[list
     0.0 + x is x for a square x. So the block at rows s..s+r-1, columns t..t+c-1
     has the row and column square sums by_cols[c][t][s : s + r] and
     by_rows[r][s][t : t + c] that `classify_balance` finds for it, bit for bit.
+    Every interior scan starts here, so this is where MAX_INTERIOR_DIMENSION
+    is enforced (InvalidInputError above it).
     """
+    if max(a.n_rows, a.n_cols) > MAX_INTERIOR_DIMENSION:
+        raise InvalidInputError(
+            f"interior scans take at most {MAX_INTERIOR_DIMENSION} rows and columns, got {a.n_rows}x{a.n_cols}"
+        )
     m = a.n_cols
     sq = [e * e for e in a.entries]
     tables = []
@@ -258,19 +270,6 @@ def _interiors_balanced(a: Matrix, tol: TolerancePolicy) -> tuple[bool, float]:
     return ok, worst
 
 
-def _interior_search(a: Matrix, tol: TolerancePolicy, min_dim: int) -> tuple[InteriorMatch | None, float]:
-    """`find_balanced_interior`'s checks and scan; also returns the best defect."""
-    if not a.is_square:
-        raise DimensionError(f"interior search needs a square matrix, got {a.n_rows}x{a.n_cols}")
-    n = a.n_rows
-    if n < 3:
-        raise InvalidInputError(f"interior search needs at least 3 rows, got {n}x{n}")
-    if not 2 <= min_dim < n:
-        raise InvalidInputError(f"min_dim must satisfy 2 <= min_dim < {n}, got {min_dim}")
-    require_balanced(a, tol)
-    return _scan_interiors(a, tol, min_dim)
-
-
 def find_balanced_interior(
     a: Matrix, tol: TolerancePolicy = DEFAULT_TOL, min_dim: int = 2
 ) -> InteriorMatch | None:
@@ -283,6 +282,17 @@ def find_balanced_interior(
 
     Returns None when no balanced interior exists at the given tolerance;
     such inputs are candidate counterexamples to the claim that every
-    balanced matrix contains a balanced subsystem.
+    balanced matrix contains a balanced subsystem. Raises DimensionError for
+    a matrix that is not square, InvalidInputError for fewer than 3 rows, a
+    `min_dim` outside [2, n) or n above MAX_INTERIOR_DIMENSION, and
+    HypothesisError("not-balanced") for an unbalanced one.
     """
-    return _interior_search(a, tol, min_dim)[0]
+    if not a.is_square:
+        raise DimensionError(f"interior search needs a square matrix, got {a.n_rows}x{a.n_cols}")
+    n = a.n_rows
+    if n < 3:
+        raise InvalidInputError(f"interior search needs at least 3 rows, got {n}x{n}")
+    if not 2 <= min_dim < n:
+        raise InvalidInputError(f"min_dim must satisfy 2 <= min_dim < {n}, got {min_dim}")
+    require_balanced(a, tol)
+    return _scan_interiors(a, tol, min_dim)[0]

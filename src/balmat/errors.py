@@ -34,8 +34,9 @@ class HypothesisError(BalmatError):
 
     These are expected outcomes when probing arbitrary matrices, not bugs.
     `hypothesis` names the failed hypothesis in kebab case ("not-balanced",
-    "not-2x2", ...). A campaign trial is not applicable exactly when its
-    check raises this error.
+    "not-2x2", "not-one-fair-row", ...). It is the one way a theorem check
+    says "not applicable": a check returns a CheckRecord or raises this.
+    A campaign trial is not applicable exactly when its check raises it.
     """
 
     def __init__(self, hypothesis: str, detail: str = ""):

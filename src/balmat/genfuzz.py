@@ -40,8 +40,8 @@ from balmat.core import (
     constant_matrix,
 )
 from balmat.discrepancy import (
-    _interior_search,
     _interiors_balanced,
+    _scan_interiors,
     discrepancy_report,
     fairness_propagation_check,
     fairness_transfer_check,
@@ -420,9 +420,10 @@ class PropertyDef:
     #: each property the same way.
     grade: str
     make_inputs: Callable[[random.Random, GenSpec, FuzzContext], tuple[Matrix, ...]]
-    # Raises HypothesisError, whose `.hypothesis` names the reason, exactly
-    # when the trial is not applicable; the estimator checks pair the record
-    # with the trial's (defect, error) point.
+    # Returns a CheckRecord built by `bounded`, `close` or `verdict`, or
+    # raises HypothesisError, whose `.hypothesis` names the failed premise,
+    # exactly when the trial is not applicable. The estimator checks pair
+    # the record with the trial's (defect, error) point.
     check: Callable[[tuple[Matrix, ...], FuzzContext], CheckRecord | tuple]
     #: Always None: checks return their own (defect, error) pairs. Kept for
     #: the benchmark's tracer, which reads the field.
@@ -544,19 +545,15 @@ def _check_estimator_scaling(ms, ctx):
     est, err = _estimator_error(a, ctx)
     denom = est.defect * max(abs(e) for e in a.entries)
     # Monitoring-only: the campaign's defect/error pairs carry the signal.
-    return CheckRecord("estimator_scaling", True, err, denom, -1.0), (est.defect, err)
+    return CheckRecord.verdict("estimator_scaling", True, err, denom), (est.defect, err)
 
 
 def _check_emax_additivity(ms, ctx):
-    a, b = ms
-    require(a.shape == (2, 2) and b.shape == (2, 2), "not-2x2")
-    return spectral2.emax_additivity_check(a, b, ctx.tol)
+    return spectral2.emax_additivity_check(ms[0], ms[1], ctx.tol)
 
 
 def _check_trace_entry(ms, ctx):
-    a = ms[0]
-    require(a.shape == (2, 2), "not-2x2")
-    return spectral2.trace_entry_check(a, ctx.tol)
+    return spectral2.trace_entry_check(ms[0], ctx.tol)
 
 
 def _make_symmetric2_inputs(rng, spec, ctx):
@@ -588,10 +585,9 @@ def _check_quadform_predict(ms, ctx):
             x * x + y * y + (x + y) * (x + y)
         )
         slack = err - allowed
-        if worst is None or slack > worst[0]:
-            worst = (slack, err, allowed)
-    slack, err, allowed = worst
-    return CheckRecord("quadform_predict", slack <= 0, err, allowed, slack)
+        if worst is None or slack > worst_slack:
+            worst, worst_slack = (err, allowed), slack
+    return CheckRecord.bounded("quadform_predict", *worst)
 
 
 def _check_fairness_transfer(ms, ctx):
@@ -632,9 +628,7 @@ def _make_one_fair_row_inputs(rng, spec, ctx):
 
 
 def _check_one_fair_row(ms, ctx):
-    record = one_fair_row_check(ms[0], ctx.tol, ctx.fair_eps, ctx.unfair_theta)
-    require(record is not None, "not-one-fair-row")
-    return record
+    return one_fair_row_check(ms[0], ctx.tol, ctx.fair_eps, ctx.unfair_theta)
 
 
 def _check_fairness_propagation(ms, ctx):
@@ -645,12 +639,15 @@ def _check_interior_conjecture(ms, ctx):
     a = ms[0]
     require(a.is_square, "not-square")
     require(a.n_rows > ctx.min_dim, "too-small")
-    match, best = _interior_search(a, ctx.tol, ctx.min_dim)
+    require_balanced(a, ctx.tol)
+    match, best = _scan_interiors(a, ctx.tol, ctx.min_dim)
     if match is not None:
-        return CheckRecord("interior_conjecture", True, match.report.max_defect, 0.0, -1.0)
+        return CheckRecord.verdict("interior_conjecture", True, match.report.max_defect, 0.0)
     # No balanced interior: report how close the best block came. An
-    # all-zero block comes at 0.0, a slack no violation can have, so 1.0.
-    return CheckRecord("interior_conjecture", False, best, 0.0, best or 1.0)
+    # all-zero block comes at 0.0, which `bounded` would read as holding.
+    if best == 0.0:
+        return CheckRecord.verdict("interior_conjecture", False, best, 0.0)
+    return CheckRecord.bounded("interior_conjecture", best, 0.0)
 
 
 def _check_interior_fair_corollary(ms, ctx):
@@ -684,9 +681,7 @@ def _make_homomorphism_inputs(rng, spec, ctx):
 
 
 def _check_det_homomorphism(ms, ctx):
-    a, b = ms
-    require(a.shape == (2, 2) and b.shape == (2, 2), "not-2x2")
-    return spectral2.det_homomorphism_check(a, b, ctx.tol, ctx.fair_eps)
+    return spectral2.det_homomorphism_check(ms[0], ms[1], ctx.tol, ctx.fair_eps)
 
 
 def _make_homomorphism_n_inputs(rng, spec, ctx):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from balmat import _kernels
-from balmat.balance import require_balanced, require_entries_at_least_one, require_positive
+from balmat.balance import require, require_balanced, require_entries_at_least_one, require_positive
 from balmat.core import DEFAULT_TOL, CheckRecord, Matrix, TolerancePolicy, approx_eq, one_write_init
 from balmat.errors import DimensionError, HypothesisError, InvalidInputError, SymmetryError
 
@@ -116,9 +116,10 @@ def trace_entry_check(a: Matrix, tol: TolerancePolicy = DEFAULT_TOL) -> CheckRec
     Balance forces the two diagonal entries together, so |tr - 2a| must stay
     within a slack budget: twice the comparison allowance at trace scale
     plus twice the diagonal gap that balance itself permits, which is
-    (atol + rtol * max_square_sum) / tr for positive entries.
+    (atol + rtol * max_square_sum) / tr for positive entries. A failed
+    premise (2x2, positive, balanced) raises HypothesisError naming it.
     """
-    _require_2x2(a)
+    require(a.shape == (2, 2), "not-2x2")
     require_positive(a)
     report = require_balanced(a, tol)
     ea, _, _, ed = a.entries
@@ -135,12 +136,14 @@ def emax_additivity_check(
 ) -> CheckRecord:
     """Dominant eigenvalue magnitude should be additive for balanced 2x2s.
 
-    Both inputs must satisfy the estimator hypotheses. The comparison budget
-    is the tolerance allowance widened by both estimator spreads, since the
+    Both inputs must be 2x2 and satisfy the estimator hypotheses; a failed
+    premise raises HypothesisError naming it. The comparison budget is the
+    tolerance allowance widened by both estimator spreads, since the
     additivity argument runs through the entry-sum estimates.
     """
     from balmat.algebra import add
 
+    require(a.shape == (2, 2) and b.shape == (2, 2), "not-2x2")
     est_a = estimate_spectrum2(a, tol)
     est_b = estimate_spectrum2(b, tol)
     lhs = exact_spectrum2(add(a, b)).max_abs
@@ -222,13 +225,14 @@ def det_homomorphism_check(
     fair discrepancy along rows or columns at `fair_eps`. The residual is
     the cross term a1*b4 + a4*b1 - a2*b3 - a3*b2; fairness bounds it by
     4 * fair_eps * max(A), and the remaining slack terms cover a nonzero
-    smallest eigenvalue, imperfect balance of A, and float rounding.
+    smallest eigenvalue, imperfect balance of A, and float rounding. A
+    failed hypothesis raises HypothesisError naming it ("not-2x2",
+    "entries-below-1", "not-balanced", "min-eig-not-small", "not-fair").
     """
     from balmat.algebra import add, det2
     from balmat.discrepancy import discrepancy_report
 
-    _require_2x2(a)
-    _require_2x2(b)
+    require(a.shape == (2, 2) and b.shape == (2, 2), "not-2x2")
     require_entries_at_least_one(a, "A")
     require_entries_at_least_one(b, "B")
     require_balanced(a, tol, "A")

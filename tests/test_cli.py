@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,18 @@ class TestRenderJson:
         nan, inf, neg_inf = json.loads(text)
         assert math.isnan(nan) and inf == math.inf and neg_inf == -math.inf
         assert render_json(json.loads(text)) == text
+
+    def test_every_code_point_escapes_by_the_rule(self):
+        def rule(ch):
+            if ch == '"':
+                return '\\"'
+            if ch == "\\":
+                return "\\\\"
+            return f"\\u{ord(ch):04x}" if ord(ch) < 0x20 else ch
+
+        for c in range(sys.maxunicode + 1):
+            ch = chr(c)
+            assert cli._escape(ch) == f'"{rule(ch)}"', hex(c)
 
 
 class TestCommands:
@@ -425,6 +438,25 @@ class TestCommands:
         n = rows.count("\n")
         assert (code, out) == (1, "")
         assert err == f"balmat interior: error: interior search needs at least 3 rows, got {n}x{n}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["interior", "{csv}"],
+            ["fuzz", "--property", "interior_fair_corollary", "--kind", "constant", "--n", "33",
+             "--noise", "0.01", "--rtol", "0.1", "--trials", "1"],
+        ],
+        ids=["interior", "corollary"],
+    )  # fmt: skip
+    def test_interior_scans_past_the_bound_exit_1_at_once(self, tmp_path, argv):
+        p = tmp_path / "c33.csv"
+        p.write_text("\n".join([",".join(["2"] * 33)] * 33) + "\n")
+        argv = [arg.format(csv=p) for arg in argv]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"balmat {argv[0]}: error: interior scans take at most 32 rows and columns, got 33x33\n"
 
     @pytest.mark.parametrize("command", FILE_COMMANDS)
     def test_byte_order_mark_ignored(self, tmp_path, command):

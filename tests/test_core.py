@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balmat import core
 from balmat.algebra import scale, transpose
 from balmat.core import (
     CheckRecord,
@@ -265,6 +267,23 @@ class TestCheckRecord:
     def test_consistency_enforced(self):
         with pytest.raises(InvalidInputError):
             CheckRecord("x", holds=True, lhs=1.0, rhs=0.0, slack=1.0)
+
+    def test_records_come_only_from_the_named_forms(self):
+        # Every check builds its record with `bounded`, `close` or `verdict`,
+        # so the slack of each record is one of three shapes.
+        package = Path(core.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "core.py"
+            for node in ast.walk(ast.parse(path.read_text(), path.name))
+            if isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == "CheckRecord")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "CheckRecord")
+            )
+        ]
+        assert found == []
 
 
 def test_star_import_resolves_every_public_name():

@@ -121,10 +121,14 @@ class TestFairnessTransfer:
 
 class TestOneFairRow:
     def test_both_rows_fair_not_applicable(self):
-        assert one_fair_row_check(sym2(2, 1), fair_eps=0.6, unfair_theta=6.0) is None
+        with pytest.raises(HypothesisError) as exc:
+            one_fair_row_check(sym2(2, 1), fair_eps=0.6, unfair_theta=6.0)
+        assert exc.value.hypothesis == "not-one-fair-row"
 
     def test_constant_not_applicable(self):
-        assert one_fair_row_check(constant_matrix(3, 3, 1.0), fair_eps=0.1) is None
+        with pytest.raises(HypothesisError) as exc:
+            one_fair_row_check(constant_matrix(3, 3, 1.0), fair_eps=0.1)
+        assert exc.value.hypothesis == "not-one-fair-row"
 
     def test_requires_theta_above_eps(self):
         with pytest.raises(InvalidInputError):

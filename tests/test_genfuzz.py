@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import inspect
 import itertools
 import math
 import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -823,9 +825,44 @@ NOT_APPLICABLE = [
     pytest.param("det_homomorphism_n", (CONST3, UNFAIR3), 2, "not-fair", id="homomorphism_n-not-fair"),
 ]  # fmt: skip
 
+NEG2 = matrix_from_rows([[1, -1], [-1, 1]])  # balanced, not positive
+
+#: The shape, sign and balance premises of the six public theorem checks,
+#: and `one_fair_row_check`'s own, each failed by one input: (check,
+#: arguments, the hypothesis it names). `test_spectral2` covers the other two
+#: premises of `det_homomorphism_check`.
+PUBLIC_PREMISES = [
+    pytest.param(spectral2.trace_entry_check, (identity(3),), "not-2x2", id="trace-not-2x2"),
+    pytest.param(spectral2.trace_entry_check, (NEG2,), "not-positive", id="trace-not-positive"),
+    pytest.param(spectral2.trace_entry_check, (UNBAL2,), "not-balanced", id="trace-not-balanced"),
+    pytest.param(spectral2.emax_additivity_check, (identity(3), BAL2), "not-2x2", id="emax-a-not-2x2"),
+    pytest.param(spectral2.emax_additivity_check, (BAL2, identity(3)), "not-2x2", id="emax-b-not-2x2"),
+    pytest.param(spectral2.emax_additivity_check, (NEG2, BAL2), "entries-below-1", id="emax-entries-below-1"),
+    pytest.param(spectral2.emax_additivity_check, (BAL2, UNBAL2), "not-balanced", id="emax-not-balanced"),
+    pytest.param(spectral2.det_homomorphism_check, (identity(3), BAL2), "not-2x2", id="homomorphism-a-not-2x2"),
+    pytest.param(spectral2.det_homomorphism_check, (BAL2, identity(3)), "not-2x2", id="homomorphism-b-not-2x2"),
+    pytest.param(spectral2.det_homomorphism_check, (NEG2, BAL2), "entries-below-1",
+                 id="homomorphism-entries-below-1"),
+    pytest.param(spectral2.det_homomorphism_check, (BAL2, UNBAL2), "not-balanced", id="homomorphism-not-balanced"),
+    pytest.param(fairness_transfer_check, (NEG2,), "not-positive", id="transfer-not-positive"),
+    pytest.param(fairness_transfer_check, (UNBAL2,), "not-balanced", id="transfer-not-balanced"),
+    pytest.param(one_fair_row_check, (NEG2,), "not-positive", id="one_fair_row-not-positive"),
+    pytest.param(one_fair_row_check, (UNBAL2,), "not-balanced", id="one_fair_row-not-balanced"),
+    pytest.param(one_fair_row_check, (BAL2, DEFAULT_TOL, 0.6, 6.0), "not-one-fair-row",
+                 id="one_fair_row-two-fair-rows"),
+    pytest.param(fairness_propagation_check, (UNBAL2,), "not-balanced", id="propagation-not-balanced"),
+]  # fmt: skip
+
 
 class TestNotApplicable:
     """A trial is not applicable exactly when its check raises HypothesisError."""
+
+    @pytest.mark.parametrize("check, args, hypothesis", PUBLIC_PREMISES)
+    def test_public_checks_raise_the_failed_premise(self, check, args, hypothesis):
+        # Never None and never DimensionError: one way to say "not applicable".
+        with pytest.raises(HypothesisError) as exc:
+            check(*args)
+        assert exc.value.hypothesis == hypothesis
 
     @pytest.mark.parametrize("name, inputs, min_dim, hypothesis", NOT_APPLICABLE)
     def test_each_exit_names_its_hypothesis(self, name, inputs, min_dim, hypothesis):
@@ -1073,3 +1110,102 @@ def test_det_nonzero_is_false_from_n_3(m, rank):
     assert det_via_trail(m) == 0.0
     assert not replay_counterexample("det_nonzero", (m,)).holds
     assert PROPERTIES["det_nonzero"].grade == "conjecture"
+
+
+# ---------------------------------------------------------------------------
+# Exact audit: theorems replayed on exactly balanced integer inputs
+# ---------------------------------------------------------------------------
+
+
+def circulant(v):
+    """circ(v): row i is v shifted right i places, so every line is a cyclic shift of v."""
+    n = len(v)
+    return [[v[(j - i) % n] for j in range(n)] for i in range(n)]
+
+
+def cayley(s):
+    """The integer P with P/d = (I - S)(I + S)^-1 and d the least common denominator.
+
+    For skew-symmetric S the quotient is orthogonal, so P Pᵀ = d² I and every
+    row and column square sum of P is d². (I + S)^-1 commutes with I - S, so
+    the quotient solves (I + S) Q = I - S, one exact elimination.
+    """
+    n = len(s)
+    aug = [[Fraction((i == j) + s[i][j]) for j in range(n)] + [Fraction((i == j) - s[i][j]) for j in range(n)]
+           for i in range(n)]  # fmt: skip
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        aug[col] = [v / lead for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    q = [row[n:] for row in aug]
+    d = math.lcm(*(v.denominator for row in q for v in row))
+    return [[int(v * d) for v in row] for row in q]
+
+
+@functools.cache
+def exact_inputs():
+    """Ten circulants, ten Cayley P and their ten |P| at each n = 3..8: 180 matrices."""
+    rng = random.Random("exact balanced inputs")
+    found = []
+    for n in range(3, 9):
+        for _ in range(10):
+            found.append(matrix_from_rows(circulant([rng.randint(1, 6) for _ in range(n)])))
+        for _ in range(10):
+            s = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                s[i][j] = rng.randint(-2, 2)
+                s[j][i] = -s[i][j]
+            p = cayley(s)
+            found += [matrix_from_rows(p), matrix_from_rows([[abs(v) for v in row] for row in p])]
+    return found
+
+
+def test_exact_inputs_are_exactly_balanced():
+    assert len(exact_inputs()) == 180
+    for m in exact_inputs():
+        report = classify_balance(m)
+        assert (report.horizontal_defect, report.vertical_defect, report.fully_balanced) == (0.0, 0.0, True), m
+
+
+#: Applicable trials of each one-input theorem on the 180 exact inputs, so the
+#: audit states what it does not probe. A non-constant integer line sits at
+#: least 0.5 from its mean, so only a constant line is fair at 0.1: one |P|
+#: has a constant row (the one `one_fair_row` probe), and no input has every
+#: row or every column fair, which the corollary needs. `fairness_transfer`
+#: needs positive entries: all 60 circulants and 42 of the 60 |P| have them,
+#: and no signed P does.
+EXACT_APPLICABLE = {
+    "closure_transpose": 180,
+    "closure_scale": 180,
+    "fairness_transfer": 102,
+    "one_fair_row": 1,
+    "interior_fair_corollary": 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_APPLICABLE))
+def test_theorem_holds_on_exact_inputs(name):
+    applicable = 0
+    for m in exact_inputs():
+        inputs = (m, Matrix(1, 1, (2.0,))) if name == "closure_scale" else (m,)
+        record = replay_counterexample(name, inputs)
+        if record is not None:
+            applicable += 1
+            assert record.holds, (m, record)
+    assert applicable == EXACT_APPLICABLE[name]
+
+
+def test_det_homomorphism_holds_on_a_constant_and_a_fair_symmetric_2x2():
+    # A = t * ones has eigenvalue 0; B = [[x, y], [y, x]] is exactly balanced,
+    # and fair at 0.1 since |x - y| < 0.2. No generated spec reaches these premises.
+    rng = random.Random("det_homomorphism exact")
+    for _ in range(2000):
+        t, x = rng.uniform(1.0, 100.0), rng.uniform(2.0, 100.0)
+        y = x + rng.uniform(-0.19, 0.19)
+        record = replay_counterexample("det_homomorphism", (constant_matrix(2, 2, t), Matrix(2, 2, (x, y, y, x))))
+        assert record is not None and record.holds, (t, x, y, record)
